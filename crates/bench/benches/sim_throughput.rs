@@ -747,18 +747,15 @@ fn mesh8x8_setup() -> (Cluster, Vec<bluedbm_core::GlobalPageAddr>) {
 /// available cores measure protocol overhead, not parallelism — read
 /// the curve next to the recorded `meta/host_cpus` row.
 fn bench_sharded_scale(c: &mut Criterion) {
-    use bluedbm_core::ExecMode;
-    let scenarios: [(&str, usize, usize, usize, usize, ExecMode); 7] = [
-        ("mesh8x8_scatter_sharded1", 8, 8, 1, 10, ExecMode::Auto),
-        ("mesh8x8_scatter_sharded2", 8, 8, 2, 10, ExecMode::Auto),
-        ("mesh8x8_scatter_sharded4", 8, 8, 4, 10, ExecMode::Auto),
-        ("mesh8x8_scatter_optimistic2", 8, 8, 2, 10, ExecMode::Optimistic),
-        ("mesh8x8_scatter_optimistic4", 8, 8, 4, 10, ExecMode::Optimistic),
-        ("mesh16x16_scatter_stream", 16, 16, 4, 4, ExecMode::Auto),
-        ("mesh32x32_scatter_stream", 32, 32, 4, 1, ExecMode::Auto),
+    let scenarios: [(&str, usize, usize, usize, usize); 5] = [
+        ("mesh8x8_scatter_sharded1", 8, 8, 1, 10),
+        ("mesh8x8_scatter_sharded2", 8, 8, 2, 10),
+        ("mesh8x8_scatter_sharded4", 8, 8, 4, 10),
+        ("mesh16x16_scatter_stream", 16, 16, 4, 4),
+        ("mesh32x32_scatter_stream", 32, 32, 4, 1),
     ];
-    for (name, rows, cols, shards, reads_per_node, exec) in scenarios {
-        let setup = || scatter_setup(rows, cols, shards, reads_per_node, exec);
+    for (name, rows, cols, shards, reads_per_node) in scenarios {
+        let setup = || scatter_setup(rows, cols, shards, reads_per_node);
         let run = |(mut cluster, reads): (Cluster, Vec<(NodeId, bluedbm_core::GlobalPageAddr)>)| {
             for &(reader, addr) in &reads {
                 cluster.inject_read(reader, addr, Consume::Isp);
@@ -788,12 +785,10 @@ fn scatter_setup(
     cols: usize,
     shards: usize,
     reads_per_node: usize,
-    exec: bluedbm_core::ExecMode,
 ) -> (Cluster, Vec<(NodeId, bluedbm_core::GlobalPageAddr)>) {
     const PAGES_PER_NODE: usize = 4;
     let mut config = SystemConfig::scaled_down();
     config.sim.shards = shards;
-    config.sim.exec = exec;
     let mut cluster = Cluster::new(NetTopology::mesh2d(rows, cols), &config).unwrap();
     let n = cluster.node_count();
     let page = vec![0u8; config.flash.geometry.page_bytes];
@@ -832,11 +827,10 @@ fn bench_kv_million(c: &mut Criterion) {
     const NODES: usize = 4;
     const BATCH: usize = 8192;
     let spec = KvWorkloadSpec::million(NODES);
-    let setup = |shards: usize, exec: bluedbm_core::ExecMode| {
+    let setup = |shards: usize| {
         let mut config = SystemConfig::scaled_down();
         config.flash.geometry = kv_flash_geometry();
         config.sim.shards = shards;
-        config.sim.exec = exec;
         KvStore::new(Cluster::ring(NODES, &config).unwrap())
     };
     let run = |spec: &KvWorkloadSpec, mut store: KvStore| {
@@ -850,19 +844,17 @@ fn bench_kv_million(c: &mut Criterion) {
     // Event counts (and the result digest) are engine-independent per
     // the PR 4 determinism contract, so one counting run serves every
     // scenario's throughput denominator.
-    let (digest, events_per_run) = run(&spec, setup(1, bluedbm_core::ExecMode::Auto));
-    for (name, shards, exec) in [
-        ("kv_million_seq", 1, bluedbm_core::ExecMode::Auto),
-        ("kv_million_sharded2", 2, bluedbm_core::ExecMode::Auto),
-        ("kv_million_sharded4", 4, bluedbm_core::ExecMode::Auto),
-        ("kv_million_optimistic2", 2, bluedbm_core::ExecMode::Optimistic),
-        ("kv_million_optimistic4", 4, bluedbm_core::ExecMode::Optimistic),
+    let (digest, events_per_run) = run(&spec, setup(1));
+    for (name, shards) in [
+        ("kv_million_seq", 1),
+        ("kv_million_sharded2", 2),
+        ("kv_million_sharded4", 4),
     ] {
         let mut g = c.benchmark_group("sim_throughput");
         g.throughput(Throughput::Elements(events_per_run));
         g.bench_function(name, |b| {
             b.iter_batched(
-                || setup(shards, exec),
+                || setup(shards),
                 |store| {
                     let (d, events) = run(&spec, store);
                     assert_eq!(d, digest, "cross-engine digest diverged");

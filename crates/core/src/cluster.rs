@@ -535,11 +535,9 @@ impl Cluster {
         }
     }
 
-    /// Synchronization and speculation statistics of the sharded engine
-    /// (`None` on the sequential engine): sync rounds plus, per shard,
-    /// committed / rolled-back speculative event counts, the adaptive
-    /// window, and park/spin waits. All zeros outside
-    /// [`ExecMode::Optimistic`] except the wait counters.
+    /// Synchronization statistics of the sharded engine (`None` on the
+    /// sequential engine): sync rounds plus, per shard, the spin/park
+    /// counts of the threaded exchange receives.
     pub fn shard_stats(&self) -> Option<ShardStats> {
         match &self.engine {
             Engine::Seq(_) => None,
@@ -569,7 +567,7 @@ impl Cluster {
 
     /// Write the cluster's complete statistics inventory into `reg`: an
     /// `engine` scope (mode, shard count, event count, sync rounds,
-    /// per-shard speculation/wait lanes, opt-in wall profiles), a `gc`
+    /// per-shard wait lanes, opt-in wall profiles), a `gc`
     /// scope (lifecycle counters and write amplification, when the
     /// lifecycle is enabled) and a `nodes` scope with per-node router /
     /// agent / scheduler / GC-agent / host-buffer / flash-card
@@ -592,10 +590,6 @@ impl Cluster {
         if let Some(stats) = self.shard_stats() {
             for (i, lane) in stats.shards.iter().enumerate() {
                 let shard = engine.child(&format!("shard{i}"));
-                shard.set("committed_events", lane.committed_events);
-                shard.set("rolled_back_events", lane.rolled_back_events);
-                shard.set("rollbacks", lane.rollbacks);
-                shard.set("window_ps", lane.window.as_ps());
                 shard.set("spins", lane.spins);
                 shard.set("parks", lane.parks);
             }
@@ -643,16 +637,6 @@ impl Cluster {
         let mut reg = MetricsRegistry::new();
         self.fill_metrics(&mut reg);
         reg.snapshot()
-    }
-
-    /// Pin every shard's speculation window to `w` (no-op on the
-    /// sequential engine). `SimTime::ZERO` disables speculation, making
-    /// [`ExecMode::Optimistic`] execute exactly like conservative
-    /// threads; the window self-tunes from whatever is set here.
-    pub fn set_speculation_window(&mut self, w: SimTime) {
-        if let Engine::Sharded(sim) = &mut self.engine {
-            sim.set_speculation_window(w);
-        }
     }
 
     /// Allocate the next free page on `node`: a previously

@@ -198,17 +198,19 @@ impl Default for GcConfig {
 /// hardware — changing it must never change observable results).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Worker shards for parallel conservative simulation. `1` (the
-    /// default) runs the sequential engine; `n > 1` partitions the
-    /// cluster's nodes across `n` scoped worker threads with the
-    /// cross-shard lookahead derived from the minimum inter-node link
-    /// latency. Sharded runs are deterministic and observably identical
-    /// to sequential runs — see `bluedbm_sim::shard`.
+    /// Shards for parallel conservative simulation. `1` (the default)
+    /// runs the sequential engine; `n > 1` partitions the cluster's
+    /// nodes across `n` shards with the cross-shard lookahead derived
+    /// from the minimum inter-node link latency. Whether the shards'
+    /// rounds run on `n` scoped worker threads or cooperatively on the
+    /// calling thread is [`SimConfig::exec`]'s choice: under the default
+    /// `Auto`, a host with fewer cores than shards runs them
+    /// cooperatively. Sharded runs are deterministic and observably
+    /// identical to sequential runs — see `bluedbm_sim::shard`.
     pub shards: usize,
-    /// How the sharded engine's workers execute (ignored when
-    /// `shards == 1`): conservative threads, cooperative single-thread,
-    /// or bounded-window optimistic speculation. See
-    /// `bluedbm_sim::shard::ExecMode`.
+    /// Where the sharded engine's rounds execute (ignored when
+    /// `shards == 1`): worker threads or cooperatively on the calling
+    /// thread. See `bluedbm_sim::shard::ExecMode`.
     pub exec: ExecMode,
     /// Deterministic event tracing (off by default — every trace entry
     /// point then costs one predictable branch). When enabled, every
@@ -234,15 +236,6 @@ impl SimConfig {
         SimConfig {
             shards: n.max(1),
             exec: ExecMode::Auto,
-            trace: TraceConfig::off(),
-        }
-    }
-
-    /// `n` worker shards on the optimistic speculative runtime.
-    pub fn optimistic(n: usize) -> Self {
-        SimConfig {
-            shards: n.max(1),
-            exec: ExecMode::Optimistic,
             trace: TraceConfig::off(),
         }
     }

@@ -63,7 +63,7 @@ pub enum Consume {
 }
 
 /// Operations the experiment driver sends to a [`NodeAgent`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum AgentOp {
     /// Read one page of the global address space (local or remote — the
     /// agent routes accordingly).
@@ -107,7 +107,7 @@ pub enum AgentOp {
 }
 
 /// A finished operation, harvested by the cluster facade.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Completed {
     /// Echo of the driver's op id.
     pub op_id: u64,
@@ -127,7 +127,7 @@ pub struct Completed {
 /// simulator-owned control-block pool; [`crate::msg::NetBody::Req`]
 /// carries the 8-byte handle). Public only because it rides the network
 /// body and crosses shard boundaries; agents construct and consume it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RemoteReq {
     req_id: u64,
     origin: NodeId,
@@ -197,7 +197,7 @@ impl RemoteError {
 /// it rides [`crate::msg::NetBody`]. Page data travels by handle (the
 /// requesting agent consumes the page); failures travel as
 /// [`RemoteError`] codes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RemoteResp {
     req_id: u64,
     /// `pub(crate)` so the cross-shard relocation in [`crate::msg`] can
@@ -210,7 +210,7 @@ pub struct RemoteResp {
 /// [`crate::msg::Msg`] as an agent self-send. Carries the response
 /// fields flat (DRAM replies never carry a flash address) so the
 /// variant stays inside `Msg`'s 64-byte budget.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DramServed {
     origin: NodeId,
     reply_ep: u16,
@@ -221,7 +221,6 @@ pub struct DramServed {
 }
 
 /// What an in-flight flash tag is for.
-#[derive(Clone)]
 enum FlashDest {
     Local {
         op_id: u64,
@@ -244,7 +243,6 @@ enum FlashDest {
 /// A network round trip awaiting its response. Remembers what was asked
 /// for, so completion records (and rehydrated errors) carry the full
 /// context without the response having to echo it over the wire.
-#[derive(Clone)]
 struct NetPending {
     op_id: u64,
     consume: Consume,
@@ -299,8 +297,6 @@ impl AgentStats {
 }
 
 /// The node hub component. Built by [`crate::cluster::Cluster`].
-/// `Clone` is the agent's speculation snapshot.
-#[derive(Clone)]
 pub struct NodeAgent {
     node: NodeId,
     router: ComponentId,
@@ -832,8 +828,6 @@ impl NodeAgent {
 }
 
 impl Component<Msg> for NodeAgent {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         let mut tc = AgentStats::default();
         self.handle_msg(ctx, &mut tc, msg);

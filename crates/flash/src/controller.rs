@@ -33,7 +33,7 @@ use crate::timing::FlashTiming;
 pub struct Tag(pub u16);
 
 /// Commands accepted by the [`FlashController`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum CtrlCmd {
     /// Read one page.
     Read {
@@ -102,7 +102,7 @@ pub struct PageRead {
 }
 
 /// Completions produced by the [`FlashController`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum CtrlResp {
     /// A read finished (successfully or not).
     ReadDone {
@@ -146,7 +146,7 @@ impl CtrlResp {
 /// controller's pending-finish slab, so the message stays 4 bytes — the
 /// completed response and its reply target wait in the controller until
 /// the modelled latency elapses.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Finish {
     slot: u32,
 }
@@ -443,56 +443,7 @@ impl FlashController {
     }
 }
 
-/// The controller's speculation snapshot: a clone of its DES-side state
-/// (queues, resources, counters). The [`FlashArray`] is deliberately
-/// absent — it can hold gigabytes of page data, so it journals in place
-/// instead ([`FlashArray::checkpoint_begin`]): taking this snapshot opens
-/// the array's undo journal, restore rolls it back, discard commits it.
-struct CtrlSnapshot {
-    timing: FlashTiming,
-    in_flight: usize,
-    pending: VecDeque<CtrlCmd>,
-    chips: Vec<SerialResource>,
-    buses: Vec<SerialResource>,
-    finish_slots: Vec<Option<(CtrlResp, ComponentId)>>,
-    free_finish: Vec<u32>,
-    stats: CtrlStats,
-}
-
 impl<M: FlashProtocol> Component<M> for FlashController {
-    fn snapshot(&mut self) -> Box<dyn std::any::Any + Send> {
-        self.array.checkpoint_begin();
-        Box::new(CtrlSnapshot {
-            timing: self.timing,
-            in_flight: self.in_flight,
-            pending: self.pending.clone(),
-            chips: self.chips.clone(),
-            buses: self.buses.clone(),
-            finish_slots: self.finish_slots.clone(),
-            free_finish: self.free_finish.clone(),
-            stats: self.stats.clone(),
-        })
-    }
-
-    fn restore(&mut self, snapshot: Box<dyn std::any::Any + Send>) {
-        let s = snapshot
-            .downcast::<CtrlSnapshot>()
-            .expect("snapshot type matches the component that took it");
-        self.timing = s.timing;
-        self.in_flight = s.in_flight;
-        self.pending = s.pending;
-        self.chips = s.chips;
-        self.buses = s.buses;
-        self.finish_slots = s.finish_slots;
-        self.free_finish = s.free_finish;
-        self.stats = s.stats;
-        self.array.checkpoint_rollback();
-    }
-
-    fn discard_snapshot(&mut self) {
-        self.array.checkpoint_commit();
-    }
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         self.handle_flash(ctx, msg.into_flash());
     }

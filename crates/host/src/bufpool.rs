@@ -36,7 +36,7 @@ use bluedbm_sim::pagestore::{PageRef, PageStore};
 /// pool.free(&mut store, a);
 /// assert_eq!(pool.available(), 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
     /// Pages currently charged to this pool. At most `capacity` (128 in

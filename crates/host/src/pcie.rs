@@ -70,7 +70,7 @@ impl Default for PcieParams {
 
 /// A transfer request addressed to a [`PcieLink`], generic over the
 /// carried body type.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PcieXfer<B> {
     /// Transfer direction.
     pub direction: Direction,
@@ -99,7 +99,7 @@ impl<B> PcieXfer<B> {
 }
 
 /// Completion of a [`PcieXfer`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PcieDone<B> {
     /// Echo of the request token.
     pub token: u64,
@@ -123,7 +123,6 @@ pub struct DirectionStats {
 }
 
 /// DES component modelling one node's PCIe link.
-#[derive(Clone)]
 pub struct PcieLink {
     params: PcieParams,
     d2h_engines: MultiResource,
@@ -165,7 +164,7 @@ impl PcieLink {
 /// Link-internal delayed completion. Public only because it rides the
 /// [`HostMsg`] enum as a self-send; nothing outside the link constructs
 /// or inspects one.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Finish<B> {
     done: PcieDone<B>,
     notify: ComponentId,
@@ -225,8 +224,6 @@ impl PcieLink {
 }
 
 impl<M: HostProtocol> Component<M> for PcieLink {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         self.handle_host(ctx, msg.into_host());
     }

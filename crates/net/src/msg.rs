@@ -69,10 +69,8 @@ pub trait NetProtocol: Message + From<NetMsg<Self::Body>> {
     /// The packet body type carried by this simulation's network.
     /// `Send` because wire records (and the packets inside them) are
     /// interned in the simulator-owned pool, whose entries must be able
-    /// to migrate with a shard onto a worker thread; `Clone` because
-    /// the optimistic sharded runtime journals pool slots it touches
-    /// under a speculation checkpoint.
-    type Body: Clone + Send + 'static;
+    /// to migrate with a shard onto a worker thread.
+    type Body: Send + 'static;
 
     /// Extract the network view of this message.
     ///
@@ -83,7 +81,7 @@ pub trait NetProtocol: Message + From<NetMsg<Self::Body>> {
     fn into_net(self) -> NetMsg<Self::Body>;
 }
 
-impl<B: Clone + Send + 'static> NetProtocol for NetMsg<B> {
+impl<B: Send + 'static> NetProtocol for NetMsg<B> {
     type Body = B;
 
     #[inline]

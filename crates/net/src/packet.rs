@@ -72,7 +72,7 @@ impl Default for NetParams {
 /// functional layer. The two are decoupled so control messages can be
 /// "small" on the wire while still carrying rich Rust types — and the
 /// body travels inline, not boxed.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Packet<B> {
     /// Originating node.
     pub src: NodeId,

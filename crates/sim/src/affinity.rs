@@ -1,12 +1,11 @@
 //! Worker-core pinning for the sharded runtime.
 //!
-//! The conservative and optimistic shard engines run one worker thread
-//! per shard, exchanging mailboxes through spin-then-park channels every
-//! sync round (~tens of thousands of rounds on sub-lookahead
-//! topologies). Letting the OS migrate those workers between cores costs
-//! twice: the spin windows lose their cached peer state, and a migration
-//! in the middle of a round turns the whole barrier into a cache-miss
-//! storm. [`pin_to_core`] pins the calling thread to one core via a raw
+//! The threaded shard engine runs one worker thread per shard,
+//! exchanging mailboxes through spin-then-park channels every sync round
+//! (~tens of thousands of rounds on sub-lookahead topologies). Letting
+//! the OS migrate those workers between cores costs twice: the spin
+//! windows lose their cached peer state, and a migration in the middle
+//! of a round turns the whole barrier into a cache-miss storm. [`pin_to_core`] pins the calling thread to one core via a raw
 //! `sched_setaffinity` syscall — raw because this workspace deliberately
 //! has no libc dependency — and compiles to a no-op off Linux.
 //!

@@ -139,75 +139,6 @@ pub trait Component<M: Message>: Any + Send {
             self.handle(ctx, msg);
         }
     }
-
-    /// Capture this component's state for speculative execution (see
-    /// [`crate::shard`]'s `ExecMode::Optimistic`). The optimistic runtime
-    /// snapshots a component lazily, right before the first speculative
-    /// event is delivered to it; if the speculation later proves wrong the
-    /// snapshot is handed back through [`restore`](Component::restore).
-    ///
-    /// `Clone` components implement the pair with one line,
-    /// `bluedbm_sim::clone_snapshot!();`, inside their `Component` impl.
-    /// Components with non-`Clone` state (interior journals, shared
-    /// resources) implement the hooks manually; the default implementation
-    /// panics with the concrete type name so an unprepared component
-    /// surfaces loudly the first time it is speculated into, rather than
-    /// silently corrupting a rollback.
-    ///
-    /// Takes `&mut self` so implementations may install an internal undo
-    /// journal instead of deep-copying (the flash array does this: pages
-    /// are copy-on-write journalled rather than cloned wholesale).
-    fn snapshot(&mut self) -> Box<dyn Any + Send> {
-        panic!(
-            "component {} cannot be speculated: no snapshot/restore implementation \
-             (add `bluedbm_sim::clone_snapshot!();` to its Component impl if it is \
-             Clone, or implement the hooks manually)",
-            std::any::type_name::<Self>()
-        )
-    }
-
-    /// Reinstate the state captured by the matching
-    /// [`snapshot`](Component::snapshot) call, discarding every mutation
-    /// made since. Called exactly once per snapshot, and only on rollback.
-    fn restore(&mut self, snapshot: Box<dyn Any + Send>) {
-        let _ = snapshot;
-        panic!(
-            "component {} has a snapshot but no restore implementation",
-            std::any::type_name::<Self>()
-        )
-    }
-
-    /// Notification that the speculation a [`snapshot`](Component::snapshot)
-    /// guarded has committed, so the captured state can be dropped. The
-    /// matching snapshot box itself is dropped by the runtime; this hook
-    /// exists for implementations that journal internally (the default is
-    /// a no-op, which is right for `clone_snapshot!` components).
-    fn discard_snapshot(&mut self) {}
-}
-
-/// Implements [`Component::snapshot`] / [`Component::restore`] for a
-/// `Clone` component: the snapshot is a plain clone, restore moves it
-/// back. Expand inside the `Component` impl block:
-///
-/// ```ignore
-/// impl Component<Msg> for Router {
-///     bluedbm_sim::clone_snapshot!();
-///     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) { /* ... */ }
-/// }
-/// ```
-#[macro_export]
-macro_rules! clone_snapshot {
-    () => {
-        fn snapshot(&mut self) -> ::std::boxed::Box<dyn ::std::any::Any + Send> {
-            ::std::boxed::Box::new(::std::clone::Clone::clone(self))
-        }
-
-        fn restore(&mut self, snapshot: ::std::boxed::Box<dyn ::std::any::Any + Send>) {
-            *self = *snapshot
-                .downcast::<Self>()
-                .expect("snapshot type matches the component that took it");
-        }
-    };
 }
 
 /// A train of same-instant messages addressed to one component, handed to
@@ -293,43 +224,6 @@ struct FastEvent<M> {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Sequence-number gap opened at a speculation checkpoint (see
-/// [`Queues::begin_journal`]). Events created while speculating get
-/// sequence numbers at least this far above the checkpoint, so the commit
-/// path can splice barrier-merged arrivals *between* pre-speculation
-/// events and speculation-created ones — reproducing the conservative
-/// engine's arrivals-before-window-sends tie order exactly. Only relative
-/// sequence order is observable (the cross-shard merge key never compares
-/// sequence numbers from different shards), so the jump itself is
-/// invisible. 2^32 leaves room for 2^32 barrier arrivals per round and
-/// ~2^31 rounds per run — orders of magnitude past any workload here.
-pub(crate) const SEQ_GAP: u64 = 1 << 32;
-
-/// Undo log for speculative execution of the event queues. Everything a
-/// speculation can do to the queues is covered by two facts:
-///
-/// * **Pops**: any event popped whose sequence number predates the
-///   checkpoint (`seq < floor`) is a pre-speculation event that must come
-///   back on rollback, so it is cloned into `popped` (with its original
-///   key) as it leaves. Events created *during* speculation carry
-///   `seq >= floor + SEQ_GAP` and are simply deleted on rollback.
-/// * **Pushes**: identified by the same sequence test — no logging needed.
-///
-/// The fast queue needs no journalling at all: it is provably empty at
-/// every checkpoint (the shard executor checkpoints only between events,
-/// and same-instant sends are always drained before the executor returns).
-struct QueueJournal<M> {
-    /// The sequence counter at checkpoint time; the pre/post divider.
-    floor: u64,
-    /// How to clone a popped pre-speculation message. Captured as a bare
-    /// fn pointer at checkpoint time (which requires `M: Clone`) so the
-    /// pop paths themselves stay free of a `Clone` bound.
-    clone_fn: fn(&M) -> M,
-    /// Pre-speculation events popped during speculation, original keys
-    /// preserved.
-    popped: Vec<(EventKey, ComponentId, M)>,
-}
-
 /// The event queues: the four-ary index heap + payload arena for future
 /// events, and the FIFO fast queue for same-instant ones. Split out of
 /// [`Simulator`] so a running handler's [`Ctx`] can push events directly
@@ -345,9 +239,6 @@ pub(crate) struct Queues<M> {
     /// Same-instant sends, globally sorted by `(at, seq)` by construction.
     fast: VecDeque<FastEvent<M>>,
     pub(crate) seq: u64,
-    /// Active speculation undo log, if a checkpoint is open. Boxed so the
-    /// conservative hot path pays one pointer of space and a null test.
-    journal: Option<Box<QueueJournal<M>>>,
 }
 
 impl<M: Message> Queues<M> {
@@ -358,7 +249,6 @@ impl<M: Message> Queues<M> {
             free_head: NO_SLOT,
             fast: VecDeque::with_capacity(events.min(256)),
             seq: 0,
-            journal: None,
         }
     }
 
@@ -439,21 +329,7 @@ impl<M: Message> Queues<M> {
         } else {
             let e = pop_root(&mut self.heap).expect("checked non-empty");
             let (to, msg) = self.take_slot(e.slot);
-            self.journal_pop(e.key, to, &msg);
             Some((e.key, to, msg))
-        }
-    }
-
-    /// Record a heap pop in the speculation journal when one is open and
-    /// the event predates the checkpoint. Fast-queue pops never need this:
-    /// every fast event was created at the current instant, i.e. during
-    /// the speculation itself.
-    #[inline]
-    fn journal_pop(&mut self, key: EventKey, to: ComponentId, msg: &M) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if key.seq < j.floor {
-                j.popped.push((key, to, (j.clone_fn)(msg)));
-            }
         }
     }
 
@@ -523,80 +399,7 @@ impl<M: Message> Queues<M> {
         }
         let e = pop_root(&mut self.heap).expect("checked non-empty");
         let (_, msg) = self.take_slot(e.slot);
-        self.journal_pop(e.key, to, &msg);
         Some(msg)
-    }
-
-    /// Open a speculation checkpoint: start the pop journal and jump the
-    /// sequence counter by [`SEQ_GAP`] so speculation-created events are
-    /// recognizable (and commit can splice arrivals below them). Returns
-    /// the checkpoint sequence number.
-    fn begin_journal(&mut self, clone_fn: fn(&M) -> M) -> u64 {
-        debug_assert!(self.journal.is_none(), "nested speculation checkpoint");
-        debug_assert!(
-            self.fast.is_empty(),
-            "checkpoint with same-instant events still queued"
-        );
-        let floor = self.seq;
-        self.seq = floor + SEQ_GAP;
-        self.journal = Some(Box::new(QueueJournal {
-            floor,
-            clone_fn,
-            popped: Vec::new(),
-        }));
-        floor
-    }
-
-    /// Close the checkpoint, keeping all speculative work. The sequence
-    /// counter stays in the gapped region — only relative order is
-    /// observable.
-    fn commit_journal(&mut self) {
-        debug_assert!(self.journal.is_some(), "commit without checkpoint");
-        self.journal = None;
-    }
-
-    /// Close the checkpoint and restore the queues exactly as they were:
-    /// delete every speculation-created event (freeing its payload slot),
-    /// re-insert every journalled pre-checkpoint pop under its original
-    /// key, and rewind the sequence counter.
-    fn rollback_journal(&mut self) {
-        let j = *self.journal.take().expect("rollback without checkpoint");
-        debug_assert!(
-            self.fast.is_empty(),
-            "speculation left same-instant events queued"
-        );
-        let mut i = 0;
-        while i < self.heap.len() {
-            if self.heap[i].key.seq >= j.floor {
-                let e = self.heap.swap_remove(i);
-                let _ = self.take_slot(e.slot);
-            } else {
-                i += 1;
-            }
-        }
-        for (key, to, msg) in j.popped {
-            let slot = self.alloc_slot(to, msg);
-            self.heap.push(HeapEntry { key, slot });
-        }
-        // Swap-removal and re-insertion scrambled the array: rebuild the
-        // heap property in one bottom-up pass.
-        for i in 1..self.heap.len() {
-            sift_up(&mut self.heap, i);
-        }
-        self.seq = j.floor;
-    }
-
-    /// Enqueue a heap event under a caller-chosen sequence number without
-    /// touching the counter. Commit-path only: barrier arrivals are
-    /// spliced in at reserved sequence numbers between the checkpoint
-    /// floor and the [`SEQ_GAP`] region (the caller guarantees
-    /// uniqueness).
-    fn push_heap_at_seq(&mut self, at: SimTime, to: ComponentId, msg: M, seq: u64) {
-        let key = EventKey { at, seq };
-        let slot = self.alloc_slot(to, msg);
-        self.heap.push(HeapEntry { key, slot });
-        let last = self.heap.len() - 1;
-        sift_up(&mut self.heap, last);
     }
 
     /// Timestamp of the next pending event, if any.
@@ -752,19 +555,6 @@ impl<M: Message> Ctx<'_, M> {
     }
 }
 
-/// Per-checkpoint simulator state that is not covered by the queue/store
-/// journals: the clock, the delivery counter, and the lazily captured
-/// component snapshots.
-struct SpecCheckpoint {
-    now: SimTime,
-    delivered: u64,
-    /// `(arena index, snapshot)` for every component that handled at
-    /// least one speculative event, in first-touch order.
-    touched: Vec<(usize, Box<dyn Any + Send>)>,
-    /// Dense already-touched marker, indexed by arena slot.
-    seen: Vec<bool>,
-}
-
 /// The event-driven simulator over message type `M`.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
@@ -778,9 +568,6 @@ pub struct Simulator<M: Message> {
     /// Set only when this simulator is one shard of a
     /// [`crate::shard::ShardedSimulator`].
     pub(crate) shard_env: Option<ShardEnv<M>>,
-    /// Open speculation checkpoint, if the optimistic shard runtime is
-    /// mid-window. `None` on every conservative/sequential path.
-    spec: Option<Box<SpecCheckpoint>>,
     /// This simulator's trace sink; disabled (and unallocated) by
     /// default, so the dispatch hot path pays one predictable branch.
     pub(crate) trace: TraceSink,
@@ -809,7 +596,6 @@ impl<M: Message> Simulator<M> {
             pages: PageStore::new(),
             pools: PoolStore::new(),
             shard_env: None,
-            spec: None,
             trace: TraceSink::disabled(),
         }
     }
@@ -985,9 +771,6 @@ impl<M: Message> Simulator<M> {
         self.now = at;
         self.delivered += 1;
 
-        if self.spec.is_some() {
-            self.spec_touch(to.index());
-        }
         self.trace.record(
             at.as_ps(),
             TraceCat::Dispatch,
@@ -1025,9 +808,6 @@ impl<M: Message> Simulator<M> {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
 
-        if self.spec.is_some() {
-            self.spec_touch(to.index());
-        }
         let component = self.components.get_mut(to.index());
         let mut ctx = Ctx {
             now: at,
@@ -1140,69 +920,6 @@ impl<M: Message> Simulator<M> {
         self.queues.push_heap(at, to, msg);
     }
 
-    /// Enqueue one cross-shard arrival under a caller-reserved sequence
-    /// number. Commit path of the optimistic runtime: arrivals merged at
-    /// a barrier *after* a window was speculated must still order before
-    /// the speculation's own sends on same-instant ties, exactly as they
-    /// would have in the conservative engine (where the merge happens
-    /// before the window runs). The caller passes sequence numbers from
-    /// the reserved band `[checkpoint, checkpoint + arrival count)`,
-    /// which sits below the [`SEQ_GAP`]-shifted speculative band.
-    pub(crate) fn push_arrival_at_seq(&mut self, at: SimTime, to: ComponentId, msg: M, seq: u64) {
-        debug_assert!(
-            at >= self.now,
-            "arrival predates the shard clock: at={at} now={} to={to:?}",
-            self.now
-        );
-        self.queues.push_heap_at_seq(at, to, msg, seq);
-    }
-
-    /// First-touch component journalling for speculative execution: the
-    /// first time a speculation delivers to arena slot `idx`, capture the
-    /// component's snapshot.
-    #[cold]
-    fn spec_touch(&mut self, idx: usize) {
-        let spec = self.spec.as_deref_mut().expect("speculation is open");
-        if spec.seen[idx] {
-            return;
-        }
-        spec.seen[idx] = true;
-        let snap = self.components.get_mut(idx).snapshot();
-        spec.touched.push((idx, snap));
-    }
-
-    /// Keep all speculative work done since
-    /// [`checkpoint_begin`](Self::checkpoint_begin): drop the queue/store
-    /// journals and the component snapshots (notifying journalling
-    /// components via [`Component::discard_snapshot`]).
-    pub(crate) fn checkpoint_commit(&mut self) {
-        let spec = self.spec.take().expect("commit without checkpoint");
-        for (idx, _snap) in &spec.touched {
-            self.components.get_mut(*idx).discard_snapshot();
-        }
-        self.queues.commit_journal();
-        self.pages.checkpoint_commit();
-        self.pools.checkpoint_commit();
-        self.trace.journal_commit();
-    }
-
-    /// Discard all speculative work done since
-    /// [`checkpoint_begin`](Self::checkpoint_begin): restore the clock,
-    /// the delivery counter, every touched component, the event queues
-    /// and both payload stores to their checkpoint state, bit for bit.
-    pub(crate) fn checkpoint_rollback(&mut self) {
-        let spec = self.spec.take().expect("rollback without checkpoint");
-        self.now = spec.now;
-        self.delivered = spec.delivered;
-        for (idx, snap) in spec.touched {
-            self.components.get_mut(idx).restore(snap);
-        }
-        self.queues.rollback_journal();
-        self.pages.checkpoint_rollback();
-        self.pools.checkpoint_rollback();
-        self.trace.journal_rollback();
-    }
-
     /// Run until the queue empties or `max_events` more events have been
     /// delivered. Returns the number actually delivered — a guard against
     /// accidental livelock in model development.
@@ -1217,34 +934,6 @@ impl<M: Message> Simulator<M> {
     /// `true` if no events remain.
     pub fn is_idle(&self) -> bool {
         self.queues.heap.is_empty() && self.queues.fast.is_empty()
-    }
-}
-
-impl<M: Message + Clone> Simulator<M> {
-    /// Open a speculation checkpoint covering the clock, the delivery
-    /// counter, the event queues, both payload stores and (lazily, on
-    /// first delivery) every component the speculation touches. Returns
-    /// the checkpoint sequence number, whose reserved band the commit
-    /// path splices barrier arrivals into (see
-    /// [`push_arrival_at_seq`](Self::push_arrival_at_seq)).
-    ///
-    /// `M: Clone` is needed because pre-checkpoint events popped during
-    /// the speculation must be clonable back into the queue on rollback;
-    /// the bound is captured here as a fn pointer so the pop hot paths
-    /// stay unbounded.
-    pub(crate) fn checkpoint_begin(&mut self) -> u64 {
-        debug_assert!(self.spec.is_none(), "nested speculation checkpoint");
-        let chk_seq = self.queues.begin_journal(M::clone);
-        self.pages.checkpoint_begin();
-        self.pools.checkpoint_begin();
-        self.trace.journal_begin();
-        self.spec = Some(Box::new(SpecCheckpoint {
-            now: self.now,
-            delivered: self.delivered,
-            touched: Vec::new(),
-            seen: vec![false; self.components.len()],
-        }));
-        chk_seq
     }
 }
 

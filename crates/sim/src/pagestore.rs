@@ -58,44 +58,11 @@ impl fmt::Debug for PageRef {
 
 /// One slab slot: the buffer (capacity retained across reuse), the live
 /// length of the current page, and the generation counter.
-#[derive(Clone)]
 struct PageSlot {
     buf: Box<[u8]>,
     len: u32,
     gen: u32,
     live: bool,
-}
-
-/// One mutation of a store's free-list stack, journalled during
-/// speculation so rollback can replay the exact inverse sequence. Shared
-/// with [`crate::pool`], whose free lists have the same pure-stack
-/// discipline. Logging the *operations* instead of cloning the stack is
-/// what keeps checkpoints O(touched) — the kv workload's free lists run
-/// to ~10^5 entries and a checkpoint opens every sync round.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FreeListOp {
-    /// `pop()` returned this index; rollback pushes it back.
-    Popped(u32),
-    /// An index was pushed; rollback pops it.
-    Pushed,
-}
-
-/// Undo journal for one speculation window over a [`PageStore`]. Slots
-/// are captured copy-on-write: the first mutation of a pre-checkpoint
-/// slot clones it into `saved`; slots created during speculation
-/// (`idx >= slots_len`) are simply truncated away on rollback. Free-list
-/// mutations replay in reverse through `free_ops`. Exact restoration of
-/// slot indices matters here — unlike event-arena slots, a [`PageRef`]'s
-/// index is stored in component state and digests, so re-execution must
-/// re-allocate the very same slots.
-struct PageJournal {
-    slots_len: usize,
-    live: usize,
-    peak_live: usize,
-    allocs: u64,
-    frees: u64,
-    free_ops: Vec<FreeListOp>,
-    saved: Vec<(u32, PageSlot)>,
 }
 
 /// Slab of page buffers with free-list reuse and generation-tagged
@@ -122,14 +89,6 @@ pub struct PageStore {
     peak_live: usize,
     allocs: u64,
     frees: u64,
-    /// Open speculation journal, if any (see [`checkpoint_begin`]).
-    ///
-    /// [`checkpoint_begin`]: PageStore::checkpoint_begin
-    journal: Option<Box<PageJournal>>,
-    /// Persistent already-saved marker per slot, reset via the journal's
-    /// saved list on commit/rollback — never re-zeroed wholesale, so a
-    /// checkpoint costs O(slots touched), not O(slot count).
-    saved_mark: Vec<bool>,
 }
 
 impl PageStore {
@@ -161,10 +120,6 @@ impl PageStore {
         let len32 = u32::try_from(len).expect("page length fits u32");
         let idx = match self.free.pop() {
             Some(idx) => {
-                if self.journal.is_some() {
-                    self.journal_free_op(FreeListOp::Popped(idx));
-                    self.journal_slot(idx);
-                }
                 let slot = &mut self.slots[idx as usize];
                 debug_assert!(!slot.live);
                 if slot.buf.len() < len {
@@ -227,9 +182,6 @@ impl PageStore {
     #[inline]
     pub fn get_mut(&mut self, r: PageRef) -> &mut [u8] {
         self.slot(r); // validate
-        if self.journal.is_some() {
-            self.journal_slot(r.idx);
-        }
         let slot = &mut self.slots[r.idx as usize];
         &mut slot.buf[..slot.len as usize]
     }
@@ -262,10 +214,6 @@ impl PageStore {
     /// Panics on double free or a stale handle.
     pub fn free(&mut self, r: PageRef) {
         self.slot(r); // validate
-        if self.journal.is_some() {
-            self.journal_slot(r.idx);
-            self.journal_free_op(FreeListOp::Pushed);
-        }
         let slot = &mut self.slots[r.idx as usize];
         slot.live = false;
         slot.gen = slot.gen.wrapping_add(1);
@@ -284,84 +232,6 @@ impl PageStore {
         let data = self.get(r).to_vec();
         self.free(r);
         data
-    }
-
-    /// Copy-on-write capture: save slot `idx` into the open journal the
-    /// first time speculation touches it. Slots born during the
-    /// speculation (`idx >= slots_len`) are never saved — rollback just
-    /// truncates them.
-    #[inline]
-    fn journal_slot(&mut self, idx: u32) {
-        let j = self.journal.as_deref_mut().expect("journal is open");
-        let i = idx as usize;
-        if i >= j.slots_len || self.saved_mark[i] {
-            return;
-        }
-        self.saved_mark[i] = true;
-        j.saved.push((idx, self.slots[i].clone()));
-    }
-
-    #[inline]
-    fn journal_free_op(&mut self, op: FreeListOp) {
-        self.journal
-            .as_deref_mut()
-            .expect("journal is open")
-            .free_ops
-            .push(op);
-    }
-
-    /// Open a speculation checkpoint. Until the matching
-    /// [`checkpoint_commit`](Self::checkpoint_commit) or
-    /// [`checkpoint_rollback`](Self::checkpoint_rollback), every slot
-    /// mutation is captured copy-on-write and every free-list push/pop is
-    /// journalled.
-    pub(crate) fn checkpoint_begin(&mut self) {
-        debug_assert!(self.journal.is_none(), "nested page-store checkpoint");
-        if self.saved_mark.len() < self.slots.len() {
-            self.saved_mark.resize(self.slots.len(), false);
-        }
-        self.journal = Some(Box::new(PageJournal {
-            slots_len: self.slots.len(),
-            live: self.live,
-            peak_live: self.peak_live,
-            allocs: self.allocs,
-            frees: self.frees,
-            free_ops: Vec::new(),
-            saved: Vec::new(),
-        }));
-    }
-
-    /// Close the checkpoint, keeping all speculative mutations.
-    pub(crate) fn checkpoint_commit(&mut self) {
-        let j = *self.journal.take().expect("commit without checkpoint");
-        for (idx, _slot) in &j.saved {
-            self.saved_mark[*idx as usize] = false;
-        }
-    }
-
-    /// Close the checkpoint and restore the store exactly: replay the
-    /// free-list ops in reverse, drop slots born during the speculation,
-    /// reinstate every saved slot (contents, length, generation and
-    /// liveness) and rewind the counters.
-    pub(crate) fn checkpoint_rollback(&mut self) {
-        let j = *self.journal.take().expect("rollback without checkpoint");
-        for op in j.free_ops.into_iter().rev() {
-            match op {
-                FreeListOp::Popped(idx) => self.free.push(idx),
-                FreeListOp::Pushed => {
-                    self.free.pop().expect("journalled push to undo");
-                }
-            }
-        }
-        self.slots.truncate(j.slots_len);
-        for (idx, slot) in j.saved {
-            self.saved_mark[idx as usize] = false;
-            self.slots[idx as usize] = slot;
-        }
-        self.live = j.live;
-        self.peak_live = j.peak_live;
-        self.allocs = j.allocs;
-        self.frees = j.frees;
     }
 
     /// Pages currently live (allocated and not yet freed).
@@ -524,64 +394,6 @@ mod tests {
     fn leak_audit_catches_live_pages() {
         let mut s = PageStore::new();
         let _leaked = s.alloc(8);
-        s.assert_quiescent();
-    }
-
-    #[test]
-    fn checkpoint_rollback_restores_slots_free_list_and_counters() {
-        let mut s = PageStore::new();
-        let keep = s.alloc_from(b"committed");
-        let doomed = s.alloc_from(b"scratch");
-        s.free(doomed); // slot 1 is on the free list at the checkpoint
-        let (live, peak, allocs) = (s.live_pages(), s.peak_live(), s.allocs());
-
-        s.checkpoint_begin();
-        // Mutate a pre-checkpoint page, reuse the freed slot, free a
-        // pre-checkpoint page, and grow the slab — every journalled path.
-        s.get_mut(keep).copy_from_slice(b"clobbered");
-        let reused = s.alloc_from(b"reused slot bytes");
-        assert_eq!(reused.index(), doomed.index());
-        let fresh = s.alloc_from(b"fresh slot");
-        s.free(keep);
-        assert!(s.is_live(fresh));
-        s.checkpoint_rollback();
-
-        assert_eq!(s.get(keep), b"committed", "contents restored");
-        assert!(!s.is_live(reused), "speculative reuse undone");
-        assert!(!s.is_live(fresh), "speculative slot dropped");
-        assert_eq!(s.slot_count(), 2, "slab truncated to checkpoint size");
-        assert_eq!(
-            (s.live_pages(), s.peak_live(), s.allocs()),
-            (live, peak, allocs),
-            "counters rewound"
-        );
-        // The freed slot must be reusable exactly as before: same index,
-        // same generation sequence as a run that never speculated.
-        let again = s.alloc_from(b"again");
-        assert_eq!(again.index(), doomed.index());
-        assert_eq!(again.generation(), reused.generation());
-        s.free(again);
-        s.free(keep);
-        s.assert_quiescent();
-    }
-
-    #[test]
-    fn checkpoint_commit_keeps_speculative_state() {
-        let mut s = PageStore::new();
-        let a = s.alloc_from(b"aa");
-        s.checkpoint_begin();
-        let b = s.alloc_from(b"bb");
-        s.free(a);
-        s.checkpoint_commit();
-        assert!(!s.is_live(a));
-        assert_eq!(s.get(b), b"bb");
-        // A later checkpoint round must re-save the same slots (the
-        // saved marks were cleared on commit).
-        s.checkpoint_begin();
-        s.get_mut(b).copy_from_slice(b"xx");
-        s.checkpoint_rollback();
-        assert_eq!(s.get(b), b"bb");
-        s.free(b);
         s.assert_quiescent();
     }
 }

@@ -27,8 +27,6 @@ use crate::fxhash::FxHashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
-use crate::pagestore::FreeListOp;
-
 /// Handle to one interned control block: slot index plus the generation
 /// it was minted under. Eight bytes plus a zero-sized type tag, `Copy` —
 /// this is what messages carry instead of a `Box`.
@@ -67,23 +65,9 @@ impl<T> fmt::Debug for PoolRef<T> {
     }
 }
 
-#[derive(Clone)]
 struct PoolSlot<T> {
     val: Option<T>,
     gen: u32,
-}
-
-/// Undo journal for one speculation window over a [`Pool`]: the same
-/// copy-on-write slot capture + reversed free-list replay as the page
-/// store's journal (see [`crate::pagestore`]). Exact slot restoration
-/// matters: a [`PoolRef`]'s index is stored in component state and
-/// digests, so rolled-back work must re-intern into the same slots.
-struct PoolJournal<T> {
-    slots_len: usize,
-    live: usize,
-    interned: u64,
-    free_ops: Vec<FreeListOp>,
-    saved: Vec<(u32, PoolSlot<T>)>,
 }
 
 /// Slab of interned `T`s with free-list reuse and generation-tagged
@@ -93,11 +77,6 @@ pub struct Pool<T> {
     free: Vec<u32>,
     live: usize,
     interned: u64,
-    /// Open speculation journal, if any.
-    journal: Option<Box<PoolJournal<T>>>,
-    /// Persistent already-saved marker per slot (cleared via the saved
-    /// list, never wholesale — checkpoints cost O(touched)).
-    saved_mark: Vec<bool>,
 }
 
 impl<T> Default for Pool<T> {
@@ -107,13 +86,11 @@ impl<T> Default for Pool<T> {
             free: Vec::new(),
             live: 0,
             interned: 0,
-            journal: None,
-            saved_mark: Vec::new(),
         }
     }
 }
 
-impl<T: Clone> Pool<T> {
+impl<T> Pool<T> {
     /// Intern `val`, returning its handle. Steady-state traffic recycles
     /// freed slots, so no allocation happens after warm-up.
     pub fn intern(&mut self, val: T) -> PoolRef<T> {
@@ -121,10 +98,6 @@ impl<T: Clone> Pool<T> {
         self.interned += 1;
         let idx = match self.free.pop() {
             Some(idx) => {
-                if self.journal.is_some() {
-                    self.journal_free_op(FreeListOp::Popped(idx));
-                    self.journal_slot(idx);
-                }
                 let slot = &mut self.slots[idx as usize];
                 debug_assert!(slot.val.is_none());
                 slot.val = Some(val);
@@ -143,109 +116,6 @@ impl<T: Clone> Pool<T> {
         }
     }
 
-    /// Copy-on-write capture of slot `idx` into the open journal (first
-    /// speculative touch only; speculation-born slots are truncated on
-    /// rollback instead).
-    #[inline]
-    fn journal_slot(&mut self, idx: u32) {
-        let j = self.journal.as_deref_mut().expect("journal is open");
-        let i = idx as usize;
-        if i >= j.slots_len || self.saved_mark[i] {
-            return;
-        }
-        self.saved_mark[i] = true;
-        j.saved.push((idx, self.slots[i].clone()));
-    }
-
-    #[inline]
-    fn journal_free_op(&mut self, op: FreeListOp) {
-        self.journal
-            .as_deref_mut()
-            .expect("journal is open")
-            .free_ops
-            .push(op);
-    }
-
-    /// Open a speculation checkpoint over this pool.
-    fn checkpoint_begin(&mut self) {
-        debug_assert!(self.journal.is_none(), "nested pool checkpoint");
-        if self.saved_mark.len() < self.slots.len() {
-            self.saved_mark.resize(self.slots.len(), false);
-        }
-        self.journal = Some(Box::new(PoolJournal {
-            slots_len: self.slots.len(),
-            live: self.live,
-            interned: self.interned,
-            free_ops: Vec::new(),
-            saved: Vec::new(),
-        }));
-    }
-
-    /// Close the checkpoint, keeping speculative mutations. No-op when no
-    /// checkpoint is open (a pool created *during* the speculation).
-    fn checkpoint_commit(&mut self) {
-        let Some(j) = self.journal.take() else { return };
-        for (idx, _slot) in &j.saved {
-            self.saved_mark[*idx as usize] = false;
-        }
-    }
-
-    /// Close the checkpoint and restore the pool exactly.
-    fn checkpoint_rollback(&mut self) {
-        let j = *self.journal.take().expect("rollback without checkpoint");
-        for op in j.free_ops.into_iter().rev() {
-            match op {
-                FreeListOp::Popped(idx) => self.free.push(idx),
-                FreeListOp::Pushed => {
-                    self.free.pop().expect("journalled push to undo");
-                }
-            }
-        }
-        self.slots.truncate(j.slots_len);
-        for (idx, slot) in j.saved {
-            self.saved_mark[idx as usize] = false;
-            self.slots[idx as usize] = slot;
-        }
-        self.live = j.live;
-        self.interned = j.interned;
-    }
-
-    /// Exclusive access to the interned object (in-place re-stamping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale.
-    #[inline]
-    pub fn get_mut(&mut self, r: PoolRef<T>) -> &mut T {
-        self.check(r);
-        if self.journal.is_some() {
-            self.journal_slot(r.idx);
-        }
-        self.slots[r.idx as usize].val.as_mut().expect("checked live")
-    }
-
-    /// Move the object out, freeing its slot; the handle (and any copy)
-    /// becomes stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics on double take or a stale handle.
-    pub fn take(&mut self, r: PoolRef<T>) -> T {
-        self.check(r);
-        if self.journal.is_some() {
-            self.journal_slot(r.idx);
-            self.journal_free_op(FreeListOp::Pushed);
-        }
-        let slot = &mut self.slots[r.idx as usize];
-        let val = slot.val.take().expect("checked live");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(r.idx);
-        self.live -= 1;
-        val
-    }
-}
-
-impl<T> Pool<T> {
     #[inline]
     fn check(&self, r: PoolRef<T>) -> &PoolSlot<T> {
         let slot = &self.slots[r.idx as usize];
@@ -268,6 +138,33 @@ impl<T> Pool<T> {
         self.check(r).val.as_ref().expect("checked live")
     }
 
+    /// Exclusive access to the interned object (in-place re-stamping).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale.
+    #[inline]
+    pub fn get_mut(&mut self, r: PoolRef<T>) -> &mut T {
+        self.check(r);
+        self.slots[r.idx as usize].val.as_mut().expect("checked live")
+    }
+
+    /// Move the object out, freeing its slot; the handle (and any copy)
+    /// becomes stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics on double take or a stale handle.
+    pub fn take(&mut self, r: PoolRef<T>) -> T {
+        self.check(r);
+        let slot = &mut self.slots[r.idx as usize];
+        let val = slot.val.take().expect("checked live");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(r.idx);
+        self.live -= 1;
+        val
+    }
+
     /// Objects currently interned.
     #[inline]
     pub fn live(&self) -> usize {
@@ -287,22 +184,15 @@ impl<T> Pool<T> {
     }
 }
 
-/// Type-erased view of one pool, for store-wide audits and the
-/// speculation checkpoint fan-out. `T: Clone` is a construction-time
-/// bound (every interned type is a plain control block), which is what
-/// lets the type-erased checkpoint hooks exist at all — Rust has no
-/// specialization to add them conditionally later.
+/// Type-erased view of one pool, for store-wide audits.
 trait AnyPool: Any + Send {
     fn live(&self) -> usize;
     fn type_name(&self) -> &'static str;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn as_any(&self) -> &dyn Any;
-    fn checkpoint_begin(&mut self);
-    fn checkpoint_commit(&mut self);
-    fn checkpoint_rollback(&mut self);
 }
 
-impl<T: Clone + Send + 'static> AnyPool for Pool<T> {
+impl<T: Send + 'static> AnyPool for Pool<T> {
     fn live(&self) -> usize {
         self.live
     }
@@ -315,15 +205,6 @@ impl<T: Clone + Send + 'static> AnyPool for Pool<T> {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn checkpoint_begin(&mut self) {
-        Pool::checkpoint_begin(self);
-    }
-    fn checkpoint_commit(&mut self) {
-        Pool::checkpoint_commit(self);
-    }
-    fn checkpoint_rollback(&mut self) {
-        Pool::checkpoint_rollback(self);
-    }
 }
 
 /// All of a simulator's control-block pools, keyed by interned type.
@@ -335,7 +216,6 @@ impl<T: Clone + Send + 'static> AnyPool for Pool<T> {
 /// ```rust
 /// use bluedbm_sim::PoolStore;
 ///
-/// #[derive(Clone)] // interned types checkpoint copy-on-write
 /// struct Req { op: u64 }
 ///
 /// let mut pools = PoolStore::new();
@@ -348,10 +228,6 @@ impl<T: Clone + Send + 'static> AnyPool for Pool<T> {
 #[derive(Default)]
 pub struct PoolStore {
     pools: FxHashMap<TypeId, Box<dyn AnyPool>>,
-    /// The set of pools that existed when the open speculation
-    /// checkpoint was taken. Pools created *during* speculation have no
-    /// journal; rollback removes them wholesale.
-    spec_pools: Option<Vec<TypeId>>,
 }
 
 impl PoolStore {
@@ -360,11 +236,8 @@ impl PoolStore {
         Self::default()
     }
 
-    /// The pool for `T`, created on first access. Interned types must be
-    /// `Clone` so the optimistic shard runtime can checkpoint pools
-    /// copy-on-write (see [`crate::shard`]); every control block here is
-    /// a plain data struct, so the bound costs nothing.
-    pub fn of<T: Clone + Send + 'static>(&mut self) -> &mut Pool<T> {
+    /// The pool for `T`, created on first access.
+    pub fn of<T: Send + 'static>(&mut self) -> &mut Pool<T> {
         self.pools
             .entry(TypeId::of::<T>())
             .or_insert_with(|| Box::<Pool<T>>::default())
@@ -375,7 +248,7 @@ impl PoolStore {
 
     /// Intern `val` into the pool for its type.
     #[inline]
-    pub fn intern<T: Clone + Send + 'static>(&mut self, val: T) -> PoolRef<T> {
+    pub fn intern<T: Send + 'static>(&mut self, val: T) -> PoolRef<T> {
         self.of::<T>().intern(val)
     }
 
@@ -410,7 +283,7 @@ impl PoolStore {
     ///
     /// As for [`PoolStore::get`].
     #[inline]
-    pub fn get_mut<T: Clone + Send + 'static>(&mut self, r: PoolRef<T>) -> &mut T {
+    pub fn get_mut<T: Send + 'static>(&mut self, r: PoolRef<T>) -> &mut T {
         self.existing::<T>().get_mut(r)
     }
 
@@ -420,40 +293,8 @@ impl PoolStore {
     ///
     /// As for [`PoolStore::get`], plus double takes.
     #[inline]
-    pub fn take<T: Clone + Send + 'static>(&mut self, r: PoolRef<T>) -> T {
+    pub fn take<T: Send + 'static>(&mut self, r: PoolRef<T>) -> T {
         self.existing::<T>().take(r)
-    }
-
-    /// Open a speculation checkpoint across every pool.
-    pub(crate) fn checkpoint_begin(&mut self) {
-        debug_assert!(self.spec_pools.is_none(), "nested pool-store checkpoint");
-        let mut types = Vec::with_capacity(self.pools.len());
-        for (ty, pool) in self.pools.iter_mut() {
-            types.push(*ty);
-            pool.checkpoint_begin();
-        }
-        self.spec_pools = Some(types);
-    }
-
-    /// Close the checkpoint, keeping all speculative mutations
-    /// (including pools first created during the speculation).
-    pub(crate) fn checkpoint_commit(&mut self) {
-        debug_assert!(self.spec_pools.is_some(), "commit without checkpoint");
-        self.spec_pools = None;
-        for pool in self.pools.values_mut() {
-            pool.checkpoint_commit();
-        }
-    }
-
-    /// Close the checkpoint and restore the store exactly: pools created
-    /// during the speculation are removed wholesale, surviving pools roll
-    /// back through their journals.
-    pub(crate) fn checkpoint_rollback(&mut self) {
-        let types = self.spec_pools.take().expect("rollback without checkpoint");
-        self.pools.retain(|ty, _| types.contains(ty));
-        for pool in self.pools.values_mut() {
-            pool.checkpoint_rollback();
-        }
     }
 
     /// Control blocks currently interned, across every pool.
@@ -565,59 +406,5 @@ mod tests {
     fn pool_refs_are_copy_and_send() {
         fn assert_send_copy<T: Send + Copy>() {}
         assert_send_copy::<PoolRef<std::rc::Rc<u8>>>(); // even for !Send T
-    }
-
-    #[test]
-    fn checkpoint_rollback_restores_pools_exactly() {
-        let mut pools = PoolStore::new();
-        let kept = pools.intern(String::from("committed"));
-        let freed = pools.intern(String::from("scratch"));
-        pools.take(freed);
-
-        pools.checkpoint_begin();
-        pools.get_mut(kept).push_str(" (clobbered)");
-        let reused = pools.intern(String::from("reused"));
-        assert_eq!(reused.index(), freed.index());
-        let spec_typed = pools.intern(77u64); // pool born during speculation
-        pools.take(kept);
-        assert_eq!(*pools.get(spec_typed), 77);
-        pools.checkpoint_rollback();
-
-        assert_eq!(pools.get(kept), "committed", "contents restored");
-        assert_eq!(pools.live_total(), 1, "speculative interns undone");
-        // The speculation-born u64 pool is gone wholesale; re-interning
-        // starts a fresh pool rather than tripping stale journals.
-        let again = pools.intern(5u64);
-        assert_eq!(*pools.get(again), 5);
-        pools.take(again);
-        // The freed String slot replays identically to a never-speculated
-        // run: same index, same generation.
-        let replay = pools.intern(String::from("replay"));
-        assert_eq!(replay.index(), reused.index());
-        pools.take(replay);
-        pools.take(kept);
-        pools.assert_quiescent();
-    }
-
-    #[test]
-    fn checkpoint_commit_keeps_speculative_pools() {
-        let mut pools = PoolStore::new();
-        let a = pools.intern(1u64);
-        pools.checkpoint_begin();
-        pools.take(a);
-        let b = pools.intern(String::from("born speculating"));
-        pools.checkpoint_commit();
-        assert_eq!(pools.get(b), "born speculating");
-        // Committed state must checkpoint cleanly again (marks cleared,
-        // the new pool now journals like any other).
-        pools.checkpoint_begin();
-        let c = pools.intern(String::from("round two"));
-        pools.checkpoint_rollback();
-        assert_eq!(pools.live_total(), 1);
-        let replay = pools.intern(String::from("replay"));
-        assert_eq!(replay.index(), c.index());
-        pools.take(replay);
-        pools.take(b);
-        pools.assert_quiescent();
     }
 }

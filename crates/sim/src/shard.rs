@@ -78,56 +78,11 @@
 //! same computation, so threaded and cooperative runs are bit-for-bit
 //! identical and the suite pins that.
 //!
-//! ## Optimistic speculation ([`ExecMode::Optimistic`])
-//!
-//! The conservative rounds leave one latency on the table: between
-//! mailing its exchange and receiving the peers' answers, a worker
-//! sits in the spin/park window doing nothing. [`ExecMode::Optimistic`]
-//! fills exactly that gap with **bounded-window speculation** in the
-//! Breathing-Time-Buckets style:
-//!
-//! 1. at the bottom of every round the worker *stages* its next
-//!    exchange — outbound parcels, queue frontier, per-destination
-//!    minima — from fully committed state: bit-for-bit what the
-//!    conservative worker would send;
-//! 2. after mailing the staged exchange (and before receiving), it
-//!    checkpoints its local state — event queues, touched components
-//!    (via [`Component::snapshot`]), page and pool store segments —
-//!    and speculatively executes local events up to
-//!    `horizon = bound + W`, where `bound` is the previous round's
-//!    safe bound and `W` the shard's current speculation window.
-//!    Cross-shard sends produced under speculation are **buffered** in
-//!    the (just-drained, therefore empty) outboxes and never mailed,
-//!    so nothing speculative escapes the shard — which is the whole
-//!    reason **no anti-messages can ever be needed**: a mis-speculation
-//!    is undone entirely locally;
-//! 3. at the exchange barrier the worker computes the true post-merge
-//!    bound exactly as the conservative rounds do. If the speculated
-//!    horizon is at or below that bound *and* no incoming arrival
-//!    lands below the horizon, the speculation is exactly the
-//!    execution a conservative round would have performed, so it
-//!    **commits**: the arrival merge splices at sequence numbers
-//!    reserved by the checkpoint (preserving the merge-before-window
-//!    tie order), and the buffered sends ride the next staged exchange
-//!    in the usual deterministic `(arrival, send time, source shard,
-//!    source seq)` order. Otherwise every speculative effect **rolls
-//!    back** — queues, components, stores, buffered sends — and the
-//!    window re-executes conservatively.
-//!
-//! Because the staged exchange is always computed from committed
-//! state, every round's exchange is identical to the conservative
-//! protocol's, so round counts, bounds and merge orders agree across
-//! all modes and committed results stay bit-identical — speculation
-//! only moves work into the otherwise-idle barrier gap. `W` self-tunes
-//! per shard (multiplicative decrease on a rollback, additive increase
-//! on a fully committed window);
-//! [`ShardedSimulator::set_speculation_window`] pins it, and `W = 0`
-//! degenerates to the conservative protocol. Commit/rollback tallies
-//! and the live windows are reported by
-//! [`ShardedSimulator::shard_stats`]. The explicitly threaded modes
-//! ([`ExecMode::Threads`], [`ExecMode::Optimistic`]) additionally pin
-//! each worker to its own core on Linux ([`crate::affinity`]) so the
-//! per-round spin windows keep their cache affinity.
+//! [`ExecMode::Threads`] forces the threaded rounds and pins each worker
+//! to its own core on Linux ([`crate::affinity`]) so the per-round spin
+//! windows keep their cache affinity; [`ExecMode::Cooperative`] forces
+//! the single-thread rounds. Sequential, threaded and cooperative runs
+//! are the three engines the conformance suites compare.
 //!
 //! ## Determinism and observational equivalence
 //!
@@ -259,16 +214,6 @@ pub enum ExecMode {
     /// Always run the window protocol cooperatively on the calling
     /// thread: the same rounds, with plain vectors for mailboxes.
     Cooperative,
-    /// One worker thread per shard, speculating into the exchange gap:
-    /// each round a worker checkpoints its local state, optimistically
-    /// executes up to `W` past the previous safe bound while its
-    /// mailboxes are in flight, then commits or rolls back at the
-    /// barrier (see the module docs). Committed results are
-    /// bit-identical to every other mode — only wall-clock changes.
-    /// Requires every speculated component to support
-    /// [`Component::snapshot`] and the message type to be [`Clone`].
-    /// Never chosen by [`Auto`](ExecMode::Auto).
-    Optimistic,
 }
 
 /// Per-shard execution statistics, accumulated across
@@ -276,16 +221,6 @@ pub enum ExecMode {
 /// [`ShardedSimulator::shard_stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardLaneStats {
-    /// Speculatively executed events that survived their barrier check
-    /// ([`ExecMode::Optimistic`] only).
-    pub committed_events: u64,
-    /// Speculatively executed events undone by a rollback.
-    pub rolled_back_events: u64,
-    /// Speculative windows rolled back at the barrier.
-    pub rollbacks: u64,
-    /// The shard's current speculation window `W` — self-tuned unless
-    /// pinned by [`ShardedSimulator::set_speculation_window`].
-    pub window: SimTime,
     /// Exchange receives satisfied inside the spin window (threaded
     /// modes).
     pub spins: u64,
@@ -354,8 +289,7 @@ pub struct ShardedSimulator<M: ShardMessage> {
     /// well-defined while the shard simulators are out on their worker
     /// threads.
     delivered_live: Vec<AtomicU64>,
-    /// Per-shard statistics (speculation tallies, live windows,
-    /// spin/park counts), moved onto the workers for a run and
+    /// Per-shard spin/park counts, moved onto the workers for a run and
     /// reassembled after it.
     lanes: Vec<ShardLaneStats>,
     /// Where [`run`](Self::run) executes the rounds (never changes what
@@ -484,10 +418,6 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                 debug_assert_eq!(slot, idx, "shard arenas must stay index-aligned");
             }
         }
-        // Speculation starts at a few conservative windows: enough to
-        // hide the barrier gap, small enough that an early rollback is
-        // cheap. Self-tuning takes it from here.
-        let window = min_lookahead * 4;
         ShardedSimulator {
             shards: parts,
             owner,
@@ -496,9 +426,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
             base_delivered,
             sync_rounds: AtomicU64::new(0),
             delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            lanes: (0..shards)
-                .map(|_| ShardLaneStats { window, ..ShardLaneStats::default() })
-                .collect(),
+            lanes: vec![ShardLaneStats::default(); shards],
             exec: ExecMode::default(),
             trace_cfg: TraceConfig::off(),
             wall: (0..shards).map(|_| WallLane::new(false)).collect(),
@@ -596,8 +524,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// while a threaded run has the shard simulators out on their
     /// worker threads, this reads the per-round counters the workers
     /// publish, so the value is always a consistent
-    /// committed-through-some-round total (speculative work is never
-    /// visible here).
+    /// through-some-round total.
     pub fn events_delivered(&self) -> u64 {
         if self.shards.is_empty() {
             // Mid-threaded-run: the simulators are on the workers.
@@ -613,37 +540,20 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// Cumulative synchronization rounds executed by
     /// [`run`](Self::run): one all-to-all mailbox/horizon exchange per
-    /// round, identical on every worker and across every [`ExecMode`]
-    /// (the optimistic rounds stage their exchanges from committed
-    /// state, so they count the same rounds the conservative protocol
-    /// would). Published once per round, so the value is well-defined
-    /// mid-run. Divide into wall time to see what the window protocol
-    /// itself costs.
+    /// round, identical on every worker and across every [`ExecMode`].
+    /// Published once per round, so the value is well-defined mid-run.
+    /// Divide into wall time to see what the window protocol itself
+    /// costs.
     pub fn sync_rounds(&self) -> u64 {
         self.sync_rounds.load(Ordering::Relaxed)
     }
 
-    /// Per-shard execution statistics — speculative events committed
-    /// and rolled back, rollback counts, the live speculation windows,
-    /// spin/park tallies — plus the cumulative sync-round count.
-    /// Counters accumulate across [`run`](Self::run) calls.
+    /// Per-shard spin/park tallies plus the cumulative sync-round
+    /// count. Counters accumulate across [`run`](Self::run) calls.
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
             sync_rounds: self.sync_rounds(),
             shards: self.lanes.clone(),
-        }
-    }
-
-    /// Pin every shard's speculation window to `w` (used by
-    /// [`ExecMode::Optimistic`]; the other modes never speculate).
-    /// Self-tuning resumes from the pinned value on the next rollback
-    /// or committed window. `W = 0` disables speculation outright —
-    /// the optimistic rounds degenerate to the conservative protocol
-    /// (and a zero window is never raised, because tuning only runs
-    /// after a speculative round).
-    pub fn set_speculation_window(&mut self, w: SimTime) {
-        for lane in &mut self.lanes {
-            lane.window = w;
         }
     }
 
@@ -726,27 +636,20 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         self.shards[shard].push_arrival(at, to, msg.into());
     }
 
-}
-
-impl<M: ShardMessage + Clone> ShardedSimulator<M> {
     /// Run to global quiescence: execute the window protocol — on
-    /// worker threads, cooperatively, or with speculation, per the
-    /// [`ExecMode`] — until no shard knows of any pending event. The
-    /// explicitly threaded modes ([`ExecMode::Threads`],
-    /// [`ExecMode::Optimistic`]) pin each worker to its own core on
-    /// Linux; [`ExecMode::Auto`] leaves placement to the OS.
+    /// worker threads or cooperatively, per the [`ExecMode`] — until no
+    /// shard knows of any pending event. [`ExecMode::Threads`] pins each
+    /// worker to its own core on Linux; [`ExecMode::Auto`] leaves
+    /// placement to the OS.
     ///
     /// # Panics
     ///
     /// Re-raises the first root-cause panic of any shard worker
-    /// (component panics, lookahead violations, stale handles, missing
-    /// [`Component::snapshot`] support under
-    /// [`ExecMode::Optimistic`]).
+    /// (component panics, lookahead violations, stale handles).
     pub fn run(&mut self) {
         let n = self.shards.len();
         if n == 1 {
-            // One shard is the sequential engine; there is no barrier
-            // gap to speculate into.
+            // One shard is the sequential engine.
             self.shards[0].run();
             return;
         }
@@ -756,7 +659,7 @@ impl<M: ShardMessage + Clone> ShardedSimulator<M> {
         let cores_per_shard =
             std::thread::available_parallelism().is_ok_and(|p| p.get() >= n);
         let threads = match self.exec {
-            ExecMode::Threads | ExecMode::Optimistic => true,
+            ExecMode::Threads => true,
             ExecMode::Cooperative => false,
             ExecMode::Auto => cores_per_shard,
         };
@@ -769,11 +672,10 @@ impl<M: ShardMessage + Clone> ShardedSimulator<M> {
             );
             return;
         }
-        let optimistic = self.exec == ExecMode::Optimistic;
-        // Only the explicitly threaded modes pin: Auto picked threads
+        // Only the explicitly threaded mode pins: Auto picked threads
         // because the host happens to have the cores, not because the
         // user asked for a fixed thread layout.
-        let pin = matches!(self.exec, ExecMode::Threads | ExecMode::Optimistic);
+        let pin = self.exec == ExecMode::Threads;
         // Per ordered pair (src, dst): one mailbox channel.
         let mut txs: Vec<Vec<Option<Sender<Exchange<M>>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -793,7 +695,6 @@ impl<M: ShardMessage + Clone> ShardedSimulator<M> {
         let lanes: Vec<ShardLaneStats> = std::mem::take(&mut self.lanes);
         let walls: Vec<WallLane> = std::mem::take(&mut self.wall);
         let lookaheads = &self.lookaheads;
-        let min_lookahead = self.min_lookahead;
         let spin = cores_per_shard;
         let rounds_base = self.sync_rounds.load(Ordering::Relaxed);
         let rounds_ctr = &self.sync_rounds;
@@ -809,9 +710,7 @@ impl<M: ShardMessage + Clone> ShardedSimulator<M> {
                     let cfg = WorkerCfg {
                         me,
                         spin,
-                        optimistic,
                         pin,
-                        min_lookahead,
                         rounds_base,
                     };
                     let shared = SharedCounters {
@@ -930,9 +829,7 @@ fn recv_spin<M: ShardMessage>(
 struct WorkerCfg {
     me: usize,
     spin: bool,
-    optimistic: bool,
     pin: bool,
-    min_lookahead: SimTime,
     rounds_base: u64,
 }
 
@@ -945,42 +842,17 @@ struct SharedCounters<'a> {
     delivered: &'a AtomicU64,
 }
 
-/// One in-flight speculative window: the horizon it executed to, the
-/// sequence floor its checkpoint reserved (where a committing merge
-/// splices the arrivals), and the delivery count at the checkpoint
-/// (for the commit/rollback tallies).
-struct SpecWindow {
-    horizon: SimTime,
-    chk_seq: u64,
-    base_delivered: u64,
-}
-
-/// Additive increase after a fully committed window: half a lookahead
-/// more speculation, capped at 32 lookaheads so a quiet phase cannot
-/// inflate the window (and the eventual rollback cost) without bound.
-fn window_grow(w: SimTime, min_lookahead: SimTime) -> SimTime {
-    (w + min_lookahead / 2).min(min_lookahead * 32)
-}
-
-/// Multiplicative decrease after a rollback: halve, floored at a
-/// quarter lookahead so the window can climb back once the straggler
-/// phase passes.
-fn window_shrink(w: SimTime, min_lookahead: SimTime) -> SimTime {
-    (w / 2).max(min_lookahead / 4)
-}
-
-/// Drain the shard's outboxes into per-destination parcel batches and
-/// capture the exchange frontier data (queue frontier, per-destination
-/// minima). Always called on fully committed state — at the bottom of a
-/// round, after commit/rollback has resolved — which is what keeps an
-/// optimistic round's exchange bit-identical to a conservative one's.
+/// Drain the shard's outboxes into per-destination parcel batches,
+/// detaching store payloads, and record the earliest parcel time per
+/// destination in `out_mins`. Returns the shard's queue frontier. The
+/// outboxes are swapped out, drained and swapped back so their capacity
+/// survives the round.
 fn stage_exchange<M: ShardMessage>(
     sim: &mut Simulator<M>,
     me: usize,
     outgoing: &mut [Vec<Parcel<M>>],
-) -> (Option<SimTime>, Arc<Vec<Option<SimTime>>>) {
-    let n = outgoing.len();
-    let mut out_mins: Vec<Option<SimTime>> = vec![None; n];
+    out_mins: &mut [Option<SimTime>],
+) -> Option<SimTime> {
     for (dst, batch) in outgoing.iter_mut().enumerate() {
         if dst == me {
             continue;
@@ -1014,24 +886,71 @@ fn stage_exchange<M: ShardMessage>(
             );
         }
     }
-    (sim.queues.next_at(), Arc::new(out_mins))
+    sim.queues.next_at()
+}
+
+/// The Chandy–Misra–Bryant safe bound generalized to the per-pair
+/// matrix. Nothing is in flight after the merge, so shard `t`'s earliest
+/// possible next event is the least fixed point of
+///
+/// ```text
+/// E_t = min(h_t, min_{r != t}(E_r + L[r][t]))
+/// ```
+///
+/// — its own queued work, or the earliest chain of cross-shard reactions
+/// that could reach it. Computed into `earliest` from the post-merge
+/// `horizons` by relaxation over the matrix (Bellman–Ford on the shard
+/// graph, at most n-1 passes); every worker runs the identical
+/// computation, so no coordinator is needed.
+fn relax_earliest(
+    horizons: &[Option<SimTime>],
+    lookaheads: &[Arc<[SimTime]>],
+    earliest: &mut [Option<SimTime>],
+) {
+    let n = horizons.len();
+    earliest.copy_from_slice(horizons);
+    for _ in 1..n {
+        let mut changed = false;
+        for t in 0..n {
+            for r in 0..n {
+                if r == t {
+                    continue;
+                }
+                if let Some(er) = earliest[r] {
+                    let via = er + lookaheads[r][t];
+                    if earliest[t].is_none_or(|e| via < e) {
+                        earliest[t] = Some(via);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+}
+
+/// Shard `me`'s safe bound, `min_{s != me}(E_s + L[s][me])`: everything
+/// strictly below it is already in its queues.
+fn safe_bound(
+    me: usize,
+    earliest: &[Option<SimTime>],
+    lookaheads: &[Arc<[SimTime]>],
+) -> Option<SimTime> {
+    (0..earliest.len())
+        .filter(|&s| s != me)
+        .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
+        .min()
 }
 
 /// One shard's worker loop: exchange mailboxes + horizons with every
 /// peer, agree (identically, with no coordinator) on the next window,
-/// execute it — optionally speculating into the exchange gap — and
-/// repeat until the global horizon is empty. Returns the shard
-/// simulator (so the façade can be reassembled) and the shard's
+/// execute it, and repeat until the global horizon is empty. Returns the
+/// shard simulator (so the façade can be reassembled) and the shard's
 /// accumulated statistics.
-///
-/// The exchange for each round is **staged** at the bottom of the
-/// previous round, from fully committed state, and only *mailed* at the
-/// top of the next — so a conservative round and an optimistic round
-/// put bit-identical data on the wire, and speculation lives entirely
-/// in the gap between the send and the matching receives (where a
-/// conservative worker would spin or park).
 #[allow(clippy::too_many_arguments)] // one-caller worker entry point; bundling would just rename the list
-fn worker<M: ShardMessage + Clone>(
+fn worker<M: ShardMessage>(
     cfg: WorkerCfg,
     shared: SharedCounters<'_>,
     mut sim: Simulator<M>,
@@ -1041,7 +960,7 @@ fn worker<M: ShardMessage + Clone>(
     rxs: Vec<Option<Receiver<Exchange<M>>>>,
     lookaheads: Arc<Vec<Arc<[SimTime]>>>,
 ) -> (Simulator<M>, ShardLaneStats, WallLane) {
-    let WorkerCfg { me, spin, optimistic, pin, min_lookahead, rounds_base } = cfg;
+    let WorkerCfg { me, spin, pin, rounds_base } = cfg;
     if pin {
         // Pure performance (cache affinity across the per-round spin
         // windows); failure means "run unpinned", never an error.
@@ -1059,18 +978,18 @@ fn worker<M: ShardMessage + Clone>(
     let mut horizons: Vec<Option<SimTime>> = vec![None; n];
     // `earliest[t]` is the fixed-point estimate `E_t` (see module doc).
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
-    // The previous round's safe bound: everything below it is committed,
-    // so it is where a speculative window may start.
-    let mut last_bound: Option<SimTime> = None;
-    // Stage round one's exchange (first-round outboxes are empty, but
-    // external injections sit in the queues and set the frontier).
-    let (mut staged_queue_next, mut staged_out_mins) =
-        stage_exchange(&mut sim, me, &mut outgoing);
     loop {
-        // Mail the staged exchange. Sends never block (unbounded), so
-        // the all-to-all cannot deadlock; a send can only fail if the
-        // peer died, and the matching recv below turns that into the
-        // PEER_LOST panic.
+        // Stage this round's outbound mail (empty on the first round of
+        // a run; external injections sit in the queues and set the
+        // frontier). One shared copy of the per-destination minima goes
+        // to all peers, instead of one clone per peer.
+        let mut out_mins: Vec<Option<SimTime>> = vec![None; n];
+        let queue_next = stage_exchange(&mut sim, me, &mut outgoing, &mut out_mins);
+        let out_mins = Arc::new(out_mins);
+        // All-to-all: mailboxes + frontiers out, then the same in. Sends
+        // never block (unbounded), so the exchange cannot deadlock; a
+        // send can only fail if the peer died, and the matching recv
+        // below turns that into the PEER_LOST panic.
         for dst in 0..n {
             if dst == me {
                 continue;
@@ -1078,46 +997,12 @@ fn worker<M: ShardMessage + Clone>(
             let parcels = std::mem::take(&mut outgoing[dst]);
             let _ = txs[dst].as_ref().expect("channel to every peer").send(Exchange {
                 parcels,
-                queue_next: staged_queue_next,
-                out_mins: Arc::clone(&staged_out_mins),
+                queue_next,
+                out_mins: Arc::clone(&out_mins),
             });
         }
-        queue_nexts[me] = staged_queue_next;
-        all_out_mins[me] = Some(Arc::clone(&staged_out_mins));
-        // Speculate into the barrier gap: the mail is in flight, the
-        // peers' answers have not arrived, and a conservative worker
-        // would idle. Checkpoint, then run local events up to `W` past
-        // the committed bound. Cross-shard sends buffer in the outboxes
-        // (drained when the exchange was staged, so currently empty) —
-        // nothing speculative is ever mailed, hence no anti-messages.
-        let mut spec: Option<SpecWindow> = None;
-        if optimistic && !lane.window.is_zero() {
-            if let Some(bound) = last_bound {
-                let horizon = bound + lane.window;
-                if staged_queue_next.is_some_and(|q| q < horizon) {
-                    // The window-open span precedes the checkpoint so a
-                    // rollback erases the window's *event* records but
-                    // keeps the window itself visible in the trace.
-                    let now_ps = sim.now.as_ps();
-                    sim.trace.record(
-                        now_ps,
-                        TraceCat::Spec,
-                        TraceKind::SpanBegin,
-                        "window",
-                        me as u32,
-                        horizon.as_ps(),
-                        0,
-                    );
-                    let chk_seq = sim.checkpoint_begin();
-                    let base_delivered = sim.events_delivered();
-                    let stamp = wall.stamp();
-                    sim.run_before(horizon);
-                    wall.add_execute(stamp);
-                    spec = Some(SpecWindow { horizon, chk_seq, base_delivered });
-                }
-            }
-        }
-        // Receive every peer's exchange.
+        queue_nexts[me] = queue_next;
+        all_out_mins[me] = Some(out_mins);
         for src in 0..n {
             if src == me {
                 continue;
@@ -1152,130 +1037,28 @@ fn worker<M: ShardMessage + Clone>(
             all_empty &= horizons[t].is_none();
         }
         if all_empty {
-            // Unreachable with a live checkpoint: speculation requires a
-            // local frontier below the horizon, which makes our own
-            // post-merge horizon non-empty.
-            debug_assert!(spec.is_none(), "speculated into a globally empty horizon");
             return (sim, lane, wall);
         }
         rounds += 1;
         shared.rounds.fetch_max(rounds_base + rounds, Ordering::Relaxed);
-        // The Chandy–Misra–Bryant safe bound generalized to the per-pair
-        // matrix. Nothing is in flight after the merge, so shard `t`'s
-        // earliest possible next event is the least fixed point of
-        //
-        //   E_t = min(h_t, min_{r != t}(E_r + L[r][t]))
-        //
-        // — its own queued work, or the earliest chain of cross-shard
-        // reactions that could reach it. Computed by relaxation over the
-        // matrix (Bellman–Ford on the shard graph, at most n-1 passes);
-        // every worker runs the identical computation, so no
-        // coordinator is needed. Everything strictly below
-        // `min_{s != me}(E_s + L[s][me])` is already in our queues —
-        // run it.
-        earliest.copy_from_slice(&horizons);
-        for _ in 1..n {
-            let mut changed = false;
-            for t in 0..n {
-                for r in 0..n {
-                    if r == t {
-                        continue;
-                    }
-                    if let Some(er) = earliest[r] {
-                        let via = er + lookaheads[r][t];
-                        if earliest[t].is_none_or(|e| via < e) {
-                            earliest[t] = Some(via);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let bound = (0..n)
-            .filter(|&s| s != me)
-            .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
-            .min();
+        relax_earliest(&horizons, &lookaheads, &mut earliest);
+        let bound = safe_bound(me, &earliest, &lookaheads);
         // Deterministic merge order: arrival instant, then send instant
         // (the sequential engine's tiebreak — its sequence numbers
         // increase with send time), then source shard, then the
         // source's own send order.
         arrivals.sort_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
-        // Resolve the speculative window against the true bound.
-        if let Some(win) = spec.take() {
-            let straggler = arrivals.first().is_some_and(|(_, p)| p.at < win.horizon);
-            let safe = bound.is_some_and(|b| win.horizon <= b);
-            let delta = sim.events_delivered() - win.base_delivered;
-            if safe && !straggler {
-                // The window is exactly the execution a conservative
-                // round performs: everything below the horizon was safe
-                // and no arrival interleaves below it. Keep the work and
-                // splice the arrivals at the sequence numbers the
-                // checkpoint reserved — below every event speculation
-                // created, above every event that predates it — so ties
-                // order exactly as a conservative merge-then-run round.
-                sim.checkpoint_commit();
-                let now_ps = sim.now.as_ps();
-                sim.trace.record(
-                    now_ps, TraceCat::Spec, TraceKind::Instant, "commit", me as u32, delta, 0,
-                );
-                sim.trace.record(
-                    now_ps, TraceCat::Spec, TraceKind::SpanEnd, "window", me as u32, delta, 0,
-                );
-                lane.committed_events += delta;
-                lane.window = window_grow(lane.window, min_lookahead);
-                for (i, (_, mut parcel)) in arrivals.drain(..).enumerate() {
-                    parcel
-                        .msg
-                        .attach(parcel.detached, &mut sim.pages, &mut sim.pools);
-                    sim.push_arrival_at_seq(
-                        parcel.at,
-                        parcel.to,
-                        parcel.msg,
-                        win.chk_seq + i as u64,
-                    );
-                }
-            } else {
-                // The bound stopped short of the horizon, or a straggler
-                // arrival lands inside it: undo everything. The buffered
-                // speculative sends are exactly the outbox contents, so
-                // clearing them is the entire anti-message story.
-                sim.checkpoint_rollback();
-                let now_ps = sim.now.as_ps();
-                sim.trace.record(
-                    now_ps, TraceCat::Spec, TraceKind::Instant, "rollback", me as u32, delta, 0,
-                );
-                sim.trace.record(
-                    now_ps, TraceCat::Spec, TraceKind::SpanEnd, "window", me as u32, delta, 0,
-                );
-                let env = sim.shard_env.as_mut().expect("shard env installed");
-                for outbox in env.outboxes.iter_mut() {
-                    outbox.clear();
-                }
-                lane.rolled_back_events += delta;
-                lane.rollbacks += 1;
-                lane.window = window_shrink(lane.window, min_lookahead);
-            }
-        }
-        // Arrivals not spliced by a commit merge the conservative way.
         for (_, mut parcel) in arrivals.drain(..) {
             parcel
                 .msg
                 .attach(parcel.detached, &mut sim.pages, &mut sim.pools);
             sim.push_arrival(parcel.at, parcel.to, parcel.msg);
         }
-        // Run (the rest of) the window conservatively.
         if let Some(bound) = bound {
             let stamp = wall.stamp();
             sim.run_before(bound);
             wall.add_execute(stamp);
         }
-        // Stage the next round's exchange from the now-committed state
-        // and publish the committed counters.
-        last_bound = bound;
-        (staged_queue_next, staged_out_mins) = stage_exchange(&mut sim, me, &mut outgoing);
         shared.delivered.store(sim.events_delivered(), Ordering::Relaxed);
     }
 }
@@ -1317,42 +1100,8 @@ fn run_cooperative<M: ShardMessage>(
         // Exchange phase. Frontiers are captured for *every* shard
         // before *any* shard merges, exactly like the all-to-all send
         // in the threaded round.
-        for src in 0..n {
-            let sim = &mut sims[src];
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                let env = sim.shard_env.as_mut().expect("shard env installed");
-                let mut raw: Vec<Outbound<M>> = std::mem::take(&mut env.outboxes[dst]);
-                let flushed = raw.len() as u64;
-                for mut out in raw.drain(..) {
-                    out_mins[src][dst] = min_opt(out_mins[src][dst], Some(out.at));
-                    let detached = out.msg.detach(&mut sim.pages, &mut sim.pools);
-                    outgoing[src][dst].push(Parcel {
-                        at: out.at,
-                        sent_at: out.sent_at,
-                        seq: out.seq,
-                        to: out.to,
-                        msg: out.msg,
-                        detached,
-                    });
-                }
-                sim.shard_env.as_mut().expect("shard env installed").outboxes[dst] = raw;
-                if flushed > 0 {
-                    let now_ps = sim.now.as_ps();
-                    sim.trace.record(
-                        now_ps,
-                        TraceCat::Mailbox,
-                        TraceKind::Instant,
-                        "flush",
-                        dst as u32,
-                        flushed,
-                        0,
-                    );
-                }
-            }
-            queue_nexts[src] = sim.queues.next_at();
+        for (src, sim) in sims.iter_mut().enumerate() {
+            queue_nexts[src] = stage_exchange(sim, src, &mut outgoing[src], &mut out_mins[src]);
         }
         // Merge phase: per destination, the worker's deterministic
         // (arrival, send time, source shard, source seq) order.
@@ -1404,32 +1153,9 @@ fn run_cooperative<M: ShardMessage>(
         rounds_ctr.fetch_add(1, Ordering::Relaxed);
         // The identical E_t fixed point (see the worker), then each
         // shard executes its window in turn.
-        earliest.copy_from_slice(&horizons);
-        for _ in 1..n {
-            let mut changed = false;
-            for t in 0..n {
-                for r in 0..n {
-                    if r == t {
-                        continue;
-                    }
-                    if let Some(er) = earliest[r] {
-                        let via = er + lookaheads[r][t];
-                        if earliest[t].is_none_or(|e| via < e) {
-                            earliest[t] = Some(via);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        relax_earliest(&horizons, lookaheads, &mut earliest);
         for (me, sim) in sims.iter_mut().enumerate() {
-            let bound = (0..n)
-                .filter(|&s| s != me)
-                .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
-                .min();
+            let bound = safe_bound(me, &earliest, lookaheads);
             if let Some(bound) = bound {
                 sim.run_before(bound);
             }
@@ -1460,7 +1186,6 @@ mod tests {
 
     /// Test protocol: a counter bounce with a fixed latency, plus a
     /// page-carrying shape to exercise relocation.
-    #[derive(Clone)]
     enum TMsg {
         Val(u64),
         Page(PageRef),
@@ -1490,7 +1215,6 @@ mod tests {
 
     /// Bounces `Val(n)` to `peer` with `delay` until `n` hits zero,
     /// logging `(now, n)`.
-    #[derive(Clone)]
     struct Bouncer {
         peer: ComponentId,
         delay: SimTime,
@@ -1498,8 +1222,6 @@ mod tests {
     }
 
     impl Component<TMsg> for Bouncer {
-        crate::clone_snapshot!();
-
         fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
             let TMsg::Val(n) = msg else { panic!("Val expected") };
             self.log.push((ctx.now(), n));
@@ -1559,14 +1281,11 @@ mod tests {
     }
 
     /// Sink that records every `Val` in delivery order.
-    #[derive(Clone)]
     struct Sink {
         got: Vec<(SimTime, u64)>,
     }
 
     impl Component<TMsg> for Sink {
-        crate::clone_snapshot!();
-
         fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
             let TMsg::Val(n) = msg else { panic!("Val expected") };
             self.got.push((ctx.now(), n));
@@ -1575,15 +1294,12 @@ mod tests {
 
     /// Fires a burst of `Val`s at `sink` with per-message delays on
     /// arrival of a kick.
-    #[derive(Clone)]
     struct Burster {
         sink: ComponentId,
         shots: Vec<(SimTime, u64)>,
     }
 
     impl Component<TMsg> for Burster {
-        crate::clone_snapshot!();
-
         fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, _msg: TMsg) {
             for &(delay, v) in &self.shots {
                 ctx.send(self.sink, delay, TMsg::Val(v));
@@ -1635,15 +1351,12 @@ mod tests {
     fn zero_delay_self_loop_stays_in_shard() {
         // Zero-delay sends *within* a shard are legal under any
         // lookahead — only cross-shard messages owe the window bound.
-        #[derive(Clone)]
         struct SelfLoop {
             left: u64,
             done_to: ComponentId,
         }
         impl Component<TMsg> for SelfLoop {
-            crate::clone_snapshot!();
-
-            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
+                fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
                 let TMsg::Val(n) = msg else { panic!("Val expected") };
                 if self.left > 0 {
                     self.left -= 1;
@@ -1683,27 +1396,21 @@ mod tests {
     #[test]
     fn pages_relocate_across_shards() {
         /// Allocates a page in its own shard and mails the handle.
-        #[derive(Clone)]
         struct Producer {
             to: ComponentId,
         }
         impl Component<TMsg> for Producer {
-            crate::clone_snapshot!();
-
-            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, _msg: TMsg) {
+                fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, _msg: TMsg) {
                 let page = ctx.pages().alloc_from(b"cross-shard page payload");
                 ctx.send(self.to, HOP, TMsg::Page(page));
             }
         }
         /// Consumes the relocated page from its own shard's store.
-        #[derive(Clone)]
         struct Consumer {
             seen: Vec<Vec<u8>>,
         }
         impl Component<TMsg> for Consumer {
-            crate::clone_snapshot!();
-
-            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
+                fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
                 let TMsg::Page(page) = msg else { panic!("Page expected") };
                 self.seen.push(ctx.pages().take(page));
             }
@@ -1712,7 +1419,6 @@ mod tests {
             ExecMode::Auto,
             ExecMode::Threads,
             ExecMode::Cooperative,
-            ExecMode::Optimistic,
         ] {
             let mut sim = Simulator::new();
             let consumer = sim.reserve();
@@ -1913,35 +1619,6 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_mode_is_bit_identical_to_every_other_mode() {
-        let run = |exec: ExecMode| {
-            let (sim, [a, b, c]) = triangle_world();
-            let la = |u: u64| HOP * u;
-            let matrix = vec![
-                vec![SimTime::ZERO, la(1), la(3)],
-                vec![la(6), SimTime::ZERO, la(4)],
-                vec![la(2), la(6), SimTime::ZERO],
-            ];
-            let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
-            sharded.set_exec_mode(exec);
-            sharded.schedule(SimTime::ZERO, a, TMsg::Val(60));
-            sharded.run();
-            (
-                sharded.events_delivered(),
-                sharded.now(),
-                sharded.sync_rounds(),
-                [a, b, c].map(|id| sharded.component::<Bouncer>(id).unwrap().log.clone()),
-            )
-        };
-        let base = run(ExecMode::Cooperative);
-        assert_eq!(run(ExecMode::Threads), base);
-        // Speculation may commit or roll back round by round, but the
-        // committed results — logs with timestamps, totals, clock, even
-        // the round count — must be exactly the conservative ones.
-        assert_eq!(run(ExecMode::Optimistic), base);
-    }
-
-    #[test]
     fn counters_agree_across_exec_modes_and_successive_runs() {
         // `sync_rounds()` / `events_delivered()` are published per round
         // in every mode, accumulate across run() calls, and agree across
@@ -1964,110 +1641,7 @@ mod tests {
         };
         let base = observe(ExecMode::Cooperative);
         assert_eq!(observe(ExecMode::Threads), base);
-        assert_eq!(observe(ExecMode::Optimistic), base);
         assert_eq!(observe(ExecMode::Auto), base);
-    }
-
-    /// Counts down `left` local steps of `HOP / 4`, cycling a stashed
-    /// page through the store on every step — so a rollback must
-    /// restore component state *and* page slots in lockstep.
-    #[derive(Clone)]
-    struct Churner {
-        left: u64,
-        stash: Option<PageRef>,
-        log: Vec<(SimTime, u64)>,
-    }
-
-    impl Component<TMsg> for Churner {
-        crate::clone_snapshot!();
-
-        fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
-            let TMsg::Val(n) = msg else { panic!("Val expected") };
-            self.log.push((ctx.now(), n));
-            if let Some(page) = self.stash.take() {
-                let bytes = ctx.pages().take(page);
-                assert_eq!(bytes, self.left.to_le_bytes(), "stashed page survived intact");
-            }
-            if self.left > 0 {
-                self.left -= 1;
-                self.stash = Some(ctx.pages().alloc_from(&self.left.to_le_bytes()));
-                ctx.send_self(HOP / 4, TMsg::Val(n + 1));
-            }
-        }
-    }
-
-    fn churn_world() -> (Simulator<TMsg>, ComponentId, ComponentId) {
-        let mut sim = Simulator::new();
-        let churner = sim.reserve();
-        let kicker = sim.add_component(Burster {
-            sink: churner,
-            shots: vec![(HOP * 3, 999)],
-        });
-        // Long enough (100 * HOP of local work, ~2 * HOP of bound
-        // advance per round) that after the straggler's rollbacks have
-        // shrunk the window, plenty of windows remain to commit.
-        sim.install(churner, Churner { left: 400, stash: None, log: vec![] });
-        (sim, churner, kicker)
-    }
-
-    #[test]
-    fn straggler_below_speculated_horizon_forces_rollback() {
-        let (mut seq, churner, kicker) = churn_world();
-        seq.schedule(SimTime::ZERO, churner, TMsg::Val(0));
-        seq.schedule(SimTime::ZERO, kicker, TMsg::Val(0));
-        seq.run();
-
-        let (sim, churner2, kicker2) = churn_world();
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
-        sharded.set_exec_mode(ExecMode::Optimistic);
-        // A huge pinned window guarantees shard 0 speculates far past
-        // the kicker's parcel (which arrives at 3 * HOP): a straggler
-        // below the speculated horizon, forcing a rollback. The window
-        // then shrinks multiplicatively until later windows commit.
-        sharded.set_speculation_window(HOP * 100);
-        sharded.schedule(SimTime::ZERO, churner2, TMsg::Val(0));
-        sharded.schedule(SimTime::ZERO, kicker2, TMsg::Val(0));
-        sharded.run();
-
-        let stats = sharded.shard_stats();
-        let lane = &stats.shards[0];
-        assert!(lane.rollbacks >= 1, "straggler must roll the window back: {stats:?}");
-        assert!(lane.rolled_back_events > 0, "{stats:?}");
-        assert!(lane.committed_events > 0, "shrunken windows must commit: {stats:?}");
-        assert!(lane.window < HOP * 100, "rollbacks must shrink the window: {stats:?}");
-        assert_eq!(sharded.events_delivered(), seq.events_delivered());
-        assert_eq!(sharded.now(), seq.now());
-        assert_eq!(
-            sharded.component::<Churner>(churner2).unwrap().log,
-            seq.component::<Churner>(churner).unwrap().log,
-        );
-        // Rollback must leave no speculative page behind.
-        sharded.assert_quiescent();
-    }
-
-    #[test]
-    fn zero_window_optimistic_degenerates_to_conservative() {
-        let (sim, a, _) = bounce_world();
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
-        sharded.set_exec_mode(ExecMode::Optimistic);
-        sharded.set_speculation_window(SimTime::ZERO);
-        sharded.schedule(SimTime::ZERO, a, TMsg::Val(40));
-        sharded.run();
-        let stats = sharded.shard_stats();
-        for lane in &stats.shards {
-            assert_eq!(lane.committed_events, 0, "{stats:?}");
-            assert_eq!(lane.rolled_back_events, 0, "{stats:?}");
-            assert_eq!(lane.rollbacks, 0, "{stats:?}");
-            assert_eq!(lane.window, SimTime::ZERO, "a zero window is never raised");
-        }
-        let (sim2, a2, _) = bounce_world();
-        let mut conservative = ShardedSimulator::from_simulator(sim2, vec![0, 1], 2, HOP);
-        conservative.set_exec_mode(ExecMode::Threads);
-        conservative.schedule(SimTime::ZERO, a2, TMsg::Val(40));
-        conservative.run();
-        assert_eq!(sharded.events_delivered(), conservative.events_delivered());
-        assert_eq!(sharded.now(), conservative.now());
-        assert_eq!(sharded.sync_rounds(), conservative.sync_rounds());
     }
 
     #[test]

@@ -168,8 +168,8 @@ mod tests {
     fn sample() -> TraceDoc {
         let mut sink = TraceSink::new(TraceConfig::on(), 1);
         sink.at(10).instant(TraceCat::KvOp, "submit", 3, 1, 2);
-        sink.at(20).span_begin(TraceCat::Spec, "window", 0, 5, 0);
-        sink.at(30).span_end(TraceCat::Spec, "window", 0, 5, 0);
+        sink.at(20).span_begin(TraceCat::Mailbox, "window", 0, 5, 0);
+        sink.at(30).span_end(TraceCat::Mailbox, "window", 0, 5, 0);
         sink.at(30).counter(TraceCat::Accel, "busy", 2, 4);
         TraceDoc::merge(vec![sink.take()])
     }

@@ -24,7 +24,7 @@ const PID_KV: u32 = 3;
 
 fn pid_of(cat: TraceCat) -> u32 {
     match cat {
-        TraceCat::Dispatch | TraceCat::Mailbox | TraceCat::Spec => PID_ENGINE,
+        TraceCat::Dispatch | TraceCat::Mailbox => PID_ENGINE,
         TraceCat::Accel | TraceCat::BufPool | TraceCat::Gc => PID_NODES,
         TraceCat::KvOp => PID_KV,
     }
@@ -243,8 +243,8 @@ mod tests {
 
     fn sample() -> TraceDoc {
         let mut sink = TraceSink::new(TraceConfig::on(), 0);
-        sink.at(1_000_000).span_begin(TraceCat::Spec, "window", 0, 8, 0);
-        sink.at(2_500_000).span_end(TraceCat::Spec, "window", 0, 8, 0);
+        sink.at(1_000_000).span_begin(TraceCat::Mailbox, "window", 0, 8, 0);
+        sink.at(2_500_000).span_end(TraceCat::Mailbox, "window", 0, 8, 0);
         sink.at(2_500_000).instant(TraceCat::Accel, "grant", 3, 7, 0);
         sink.at(3_000_000).counter(TraceCat::Accel, "busy", 3, 2);
         sink.at(3_000_000).instant(TraceCat::KvOp, "submit", 1, 42, 0);

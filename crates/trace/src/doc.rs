@@ -66,8 +66,8 @@ impl TraceDoc {
     /// XOR fold of [`TraceRecord::digest_stable`] over every record
     /// whose category is in `mask`. With
     /// [`crate::STABLE_CATEGORIES`] this is the cross-engine digest:
-    /// identical for Seq / Threads / Cooperative / Optimistic runs of
-    /// the same workload.
+    /// identical for Seq / Threads / Cooperative runs of the same
+    /// workload.
     pub fn digest_stable(&self, mask: u32) -> u64 {
         self.fold(mask, TraceRecord::digest_stable)
     }
@@ -144,7 +144,7 @@ mod tests {
         assert_eq!(lines.next(), Some("10,0,0,kvop,instant,submit,0,10,0"));
         assert_eq!(lines.next(), None);
         assert_eq!(doc.count(TraceCat::KvOp), 1);
-        assert_eq!(doc.count(TraceCat::Spec), 0);
+        assert_eq!(doc.count(TraceCat::Mailbox), 0);
         let _ = TraceKind::Instant;
     }
 }

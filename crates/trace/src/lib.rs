@@ -26,8 +26,9 @@
 //! [`TraceConfig::categories`] and the binary format stay stable. To
 //! add one:
 //!
-//! 1. Add a variant to [`TraceCat`] (append — the `u8` discriminant is
-//!    part of the binary format), extend [`TraceCat::ALL`],
+//! 1. Add a variant to [`TraceCat`] (append, and never reuse the
+//!    retired discriminant 2 — the `u8` discriminant is part of the
+//!    binary format), extend [`TraceCat::ALL`],
 //!    [`TraceCat::label`] and [`TraceCat::from_u8`].
 //! 2. Decide its Chrome track mapping in [`chrome`]: engine-side
 //!    categories render one track per shard; node-side categories one
@@ -75,7 +76,7 @@ pub struct TraceConfig {
     pub categories: u32,
     /// Per-sink record capacity; once full, further records are
     /// *dropped and counted* (never silently, never by evicting older
-    /// records — eviction would break speculation rollback truncation).
+    /// records).
     pub capacity: u32,
     /// Also collect per-lane wall-clock profiles ([`wallclock`]) on the
     /// threaded shard runtime. Strictly outside the deterministic

@@ -298,7 +298,7 @@ mod tests {
     fn tree_building_and_lookup() {
         let mut reg = MetricsRegistry::new();
         reg.scope("engine").set("shards", 4u64).set("mode", "threads");
-        reg.scope("engine").child("shard0").set("rollbacks", 2u64);
+        reg.scope("engine").child("shard0").set("parks", 2u64);
         reg.scope("kv").histogram(
             "latency",
             &HistogramSummary {
@@ -313,7 +313,7 @@ mod tests {
         );
         let doc = reg.snapshot();
         assert_eq!(doc.get("engine/shards").and_then(MetricValue::as_int), Some(4));
-        assert_eq!(doc.get("engine/shard0/rollbacks").and_then(MetricValue::as_int), Some(2));
+        assert_eq!(doc.get("engine/shard0/parks").and_then(MetricValue::as_int), Some(2));
         assert_eq!(doc.get("kv/latency/p99_ps").and_then(MetricValue::as_int), Some(400));
         assert_eq!(doc.get("kv/latency/nope"), None);
         assert_eq!(doc.get("engine/shards/deeper"), None);

@@ -15,9 +15,8 @@ pub enum TraceCat {
     Dispatch = 0,
     /// Cross-shard mailbox flushes in the sharded runtime.
     Mailbox = 1,
-    /// Speculation windows on the optimistic engine: open / commit /
-    /// rollback.
-    Spec = 2,
+    // 2 is retired (it tagged a removed engine's records); binary traces
+    // never reuse a discriminant.
     /// Accelerator scheduler: grant / park / done.
     Accel = 3,
     /// Host read-buffer pool: park / resume.
@@ -32,10 +31,9 @@ pub enum TraceCat {
 /// Every category, in discriminant order.
 impl TraceCat {
     /// All categories, in discriminant order.
-    pub const ALL: [TraceCat; 7] = [
+    pub const ALL: [TraceCat; 6] = [
         TraceCat::Dispatch,
         TraceCat::Mailbox,
-        TraceCat::Spec,
         TraceCat::Accel,
         TraceCat::BufPool,
         TraceCat::KvOp,
@@ -53,7 +51,6 @@ impl TraceCat {
         match self {
             TraceCat::Dispatch => "dispatch",
             TraceCat::Mailbox => "mailbox",
-            TraceCat::Spec => "spec",
             TraceCat::Accel => "accel",
             TraceCat::BufPool => "bufpool",
             TraceCat::KvOp => "kvop",
@@ -66,7 +63,6 @@ impl TraceCat {
         match v {
             0 => Some(TraceCat::Dispatch),
             1 => Some(TraceCat::Mailbox),
-            2 => Some(TraceCat::Spec),
             3 => Some(TraceCat::Accel),
             4 => Some(TraceCat::BufPool),
             5 => Some(TraceCat::KvOp),
@@ -76,14 +72,23 @@ impl TraceCat {
     }
 }
 
-/// Mask with every category bit set.
-pub const ALL_CATEGORIES: u32 = (1 << TraceCat::ALL.len() as u32) - 1;
+/// Mask with every category bit set: the OR of [`TraceCat::ALL`]'s bits
+/// (discriminants are not contiguous, so it is not a `len`-bit mask).
+pub const ALL_CATEGORIES: u32 = {
+    let mut mask = 0;
+    let mut i = 0;
+    while i < TraceCat::ALL.len() {
+        mask |= TraceCat::ALL[i].bit();
+        i += 1;
+    }
+    mask
+};
 
 /// Categories whose record multiset (names, tracks, payloads — not
 /// timestamps) is arbitration-independent, i.e. identical across the
-/// Seq / Threads / Cooperative / Optimistic engines for the same
-/// workload. `Dispatch` carries same-instant timing that contention
-/// redistributes; `Mailbox`/`Spec` describe engine-private structure;
+/// Seq / Threads / Cooperative engines for the same workload.
+/// `Dispatch` carries same-instant timing that contention
+/// redistributes; `Mailbox` describes engine-private structure;
 /// `Accel`/`BufPool` payloads include queue waits and park decisions,
 /// which the determinism contract explicitly leaves per-engine. `Gc`
 /// qualifies because victim choice and migration order come from the
@@ -229,6 +234,19 @@ mod tests {
         }
         assert_eq!(TraceCat::from_u8(200), None);
         assert_eq!(ALL_CATEGORIES.count_ones() as usize, TraceCat::ALL.len());
+    }
+
+    #[test]
+    fn all_categories_covers_every_bit_and_skips_the_retired_discriminant() {
+        for cat in TraceCat::ALL {
+            assert_ne!(
+                ALL_CATEGORIES & cat.bit(),
+                0,
+                "{cat:?} missing from the default mask"
+            );
+        }
+        assert_ne!(ALL_CATEGORIES & TraceCat::Gc.bit(), 0);
+        assert_eq!(TraceCat::from_u8(2), None);
     }
 
     #[test]

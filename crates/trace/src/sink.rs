@@ -13,28 +13,11 @@ pub struct TracePart {
     pub dropped: u64,
 }
 
-/// Journal mark for one open speculation window.
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    len: usize,
-    seq: u64,
-    dropped: u64,
-}
-
 /// A bounded trace buffer owned by one shard (or one driver loop).
 ///
 /// Disabled is the default and costs one branch per entry point: the
 /// buffer is unallocated and `on` is false. When full the sink drops
-/// *new* records (counted in `dropped`) rather than evicting old ones —
-/// eviction would invalidate the truncation marks the speculation
-/// journal relies on.
-///
-/// Speculative execution integration: the optimistic shard runtime
-/// brackets each window with [`journal_begin`](TraceSink::journal_begin)
-/// and [`journal_commit`](TraceSink::journal_commit) /
-/// [`journal_rollback`](TraceSink::journal_rollback), so records
-/// emitted by rolled-back events vanish exactly like their effects and
-/// the committed trace matches the conservative engines.
+/// *new* records (counted in `dropped`) rather than evicting old ones.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     on: bool,
@@ -44,7 +27,6 @@ pub struct TraceSink {
     seq: u64,
     dropped: u64,
     records: Vec<TraceRecord>,
-    journal: Vec<Mark>,
 }
 
 impl TraceSink {
@@ -67,7 +49,6 @@ impl TraceSink {
             seq: 0,
             dropped: 0,
             records: Vec::new(),
-            journal: Vec::new(),
         }
     }
 
@@ -157,41 +138,6 @@ impl TraceSink {
         });
     }
 
-    /// Open a speculation journal mark. No-op when disabled.
-    pub fn journal_begin(&mut self) {
-        if !self.on {
-            return;
-        }
-        self.journal.push(Mark {
-            len: self.records.len(),
-            seq: self.seq,
-            dropped: self.dropped,
-        });
-    }
-
-    /// Commit the innermost open window: records stand, the mark is
-    /// discarded.
-    pub fn journal_commit(&mut self) {
-        if !self.on {
-            return;
-        }
-        self.journal.pop().expect("trace journal commit without begin");
-    }
-
-    /// Roll back the innermost open window: every record emitted since
-    /// its [`journal_begin`](TraceSink::journal_begin) is erased and the
-    /// sequence counter rewinds, so a rolled-back window leaves no
-    /// forensic residue in the deterministic record.
-    pub fn journal_rollback(&mut self) {
-        if !self.on {
-            return;
-        }
-        let mark = self.journal.pop().expect("trace journal rollback without begin");
-        self.records.truncate(mark.len);
-        self.seq = mark.seq;
-        self.dropped = mark.dropped;
-    }
-
     /// Harvest the captured records, leaving the sink enabled and its
     /// sequence counter running (a second harvest continues, not
     /// restarts, the numbering).
@@ -260,8 +206,6 @@ mod tests {
     fn disabled_sink_captures_nothing() {
         let mut s = TraceSink::disabled();
         s.at(5).instant(TraceCat::KvOp, "submit", 0, 1, 2);
-        s.journal_begin();
-        s.journal_rollback();
         assert!(!s.is_enabled());
         assert!(s.is_empty());
         assert_eq!(s.take().records.len(), 0);
@@ -291,33 +235,6 @@ mod tests {
         assert_eq!(part.records[0].a, 0);
         assert_eq!(part.records[1].a, 1);
         assert_eq!(part.dropped, 3);
-    }
-
-    #[test]
-    fn journal_rollback_erases_window_records() {
-        let mut s = enabled(64);
-        s.at(1).instant(TraceCat::KvOp, "keep", 0, 0, 0);
-        s.journal_begin();
-        s.at(2).instant(TraceCat::KvOp, "spec", 0, 1, 0);
-        s.at(3).instant(TraceCat::KvOp, "spec", 0, 2, 0);
-        s.journal_rollback();
-        s.at(2).instant(TraceCat::KvOp, "replay", 0, 3, 0);
-        let part = s.take();
-        assert_eq!(part.records.len(), 2);
-        assert_eq!(part.records[0].name, "keep");
-        assert_eq!(part.records[1].name, "replay");
-        // The sequence numbers rewound: the replay record reuses the
-        // rolled-back window's first seq.
-        assert_eq!(part.records[1].seq, 1);
-    }
-
-    #[test]
-    fn journal_commit_keeps_window_records() {
-        let mut s = enabled(64);
-        s.journal_begin();
-        s.at(2).instant(TraceCat::KvOp, "spec", 0, 1, 0);
-        s.journal_commit();
-        assert_eq!(s.take().records.len(), 1);
     }
 
     #[test]

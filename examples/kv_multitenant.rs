@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use bluedbm::core::{Cluster, ExecMode, KvStore, SystemConfig};
+use bluedbm::core::{Cluster, KvStore, SystemConfig};
 use bluedbm::sim::{TraceConfig, TraceDoc, STABLE_CATEGORIES};
 use bluedbm::trace::{binfmt, chrome};
 use bluedbm::workloads::kvgen::{kv_flash_geometry, run_requests, KvRunSummary, KvWorkloadSpec};
@@ -45,11 +45,10 @@ fn trace_prefix() -> Option<String> {
     std::env::var("BLUEDBM_TRACE").ok().filter(|p| !p.is_empty())
 }
 
-fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunOut {
+fn run(spec: &KvWorkloadSpec, shards: usize, slug: &str) -> RunOut {
     let mut config = SystemConfig::scaled_down();
     config.flash.geometry = kv_flash_geometry();
     config.sim.shards = shards;
-    config.sim.exec = exec;
     let tracing = trace_prefix();
     if tracing.is_some() {
         config.sim.trace = TraceConfig::on().with_capacity(1 << 21);
@@ -67,10 +66,8 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
 
     let engine = if shards == 1 {
         "sequential".to_string()
-    } else if exec == ExecMode::Optimistic {
-        format!("{shards}-shard optimistic")
     } else {
-        format!("{shards}-shard  ")
+        format!("{shards}-shard")
     };
     let events = store.cluster().events_delivered();
     let metrics = store.metrics();
@@ -79,7 +76,7 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
         None => String::new(),
     };
     println!(
-        "{engine}  {:>9} ops  {:>10} events  {:>6.2} s wall  {:>5.2} M events/s  sim {:.1} ms{rounds}",
+        "{engine:<10}  {:>9} ops  {:>10} events  {:>6.2} s wall  {:>5.2} M events/s  sim {:.1} ms{rounds}",
         summary.ops,
         events,
         wall,
@@ -103,8 +100,7 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
         );
     }
 
-    // Engine-level speculation/sync counters from the same snapshot
-    // (replaces the old hand-rolled ShardStats printing).
+    // Engine-level sync counters from the same snapshot.
     if let Some(engine_node) = metrics.node("engine") {
         let lanes: Vec<&str> = engine_node
             .keys()
@@ -114,10 +110,7 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
             let lane = engine_node.node(shard).expect("filtered to node entries");
             let count = |key: &str| lane.get(key).and_then(|v| v.as_int()).unwrap_or(0);
             println!(
-                "  {shard}: {} committed / {} rolled-back speculative events ({} rollbacks), {} spins, {} parks",
-                count("committed_events"),
-                count("rolled_back_events"),
-                count("rollbacks"),
+                "  {shard}: {} spins, {} parks",
                 count("spins"),
                 count("parks"),
             );
@@ -172,14 +165,9 @@ fn main() {
         SystemConfig::scaled_down().accel.units,
     );
 
-    let seq = run(&spec, 1, ExecMode::Auto, "seq");
-    for (shards, exec, slug) in [
-        (2, ExecMode::Auto, "shard2"),
-        (4, ExecMode::Auto, "shard4"),
-        (2, ExecMode::Optimistic, "opt2"),
-        (4, ExecMode::Optimistic, "opt4"),
-    ] {
-        let sharded = run(&spec, shards, exec, slug);
+    let seq = run(&spec, 1, "seq");
+    for (shards, slug) in [(2, "shard2"), (4, "shard4")] {
+        let sharded = run(&spec, shards, slug);
         assert_eq!(
             seq.summary.digest, sharded.summary.digest,
             "per-op results diverged between engines"

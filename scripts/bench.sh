@@ -32,9 +32,8 @@ export BLUEDBM_BENCH_JSON="$out"
 echo "== layout sizes: Msg / queue entries (fails if Msg > 64 bytes) =="
 cargo run -p bluedbm-bench --release --quiet --bin sizes
 
-# The shard-scaling rows (sim_throughput/mesh8x8_scatter_sharded{1,2,4},
-# the optimistic lanes mesh8x8_scatter_optimistic{2,4} and the KV rows
-# kv_million_{seq,sharded{2,4},optimistic{2,4}}) only show real parallel
+# The shard-scaling rows (sim_throughput/mesh8x8_scatter_sharded{1,2,4}
+# and the KV rows kv_million_{seq,sharded{2,4}}) only show real parallel
 # speedup when the host has cores to run the shards on; record the core
 # count so the curve is interpretable, and flag outright when the widest
 # sharded row (4 shards) is oversubscribed — on such hosts the sharded

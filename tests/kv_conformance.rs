@@ -178,32 +178,6 @@ fn batch_size_does_not_change_results() {
 }
 
 #[test]
-fn ring4_kv_optimistic_matches_across_window_sizes() {
-    // The full KV stack under speculation: flash-array journalling
-    // (program / trim / read-stat undo), router and agent clone
-    // snapshots, page/pool store segment rollback. Windows span the
-    // degenerate conservative case (0), sub-lookahead, and far past the
-    // lookahead (rollback-heavy); digests, op counts, directory state
-    // and the leak audits must match sequential everywhere.
-    let spec = small_spec(4);
-    let seq = run(&spec, Cluster::ring(4, &config_with_shards(1)).unwrap(), 64);
-    for shards in [2, 4] {
-        for wmul in [0u64, 1, 16] {
-            let mut config = config_with_shards(shards);
-            config.sim.exec = ExecMode::Optimistic;
-            let mut cluster = Cluster::ring(4, &config).unwrap();
-            let w = cluster.min_lookahead().unwrap() * wmul;
-            cluster.set_speculation_window(w);
-            let opt = run(&spec, cluster, 64);
-            assert_eq!(
-                seq, opt,
-                "optimistic {shards}-shard KV run (window {w}) diverged from sequential"
-            );
-        }
-    }
-}
-
-#[test]
 fn trace_digest_identical_across_all_engines() {
     // The arbitration-independent trace categories (KV op lifecycle)
     // must XOR-fold to the same digest on every engine at every shard
@@ -216,7 +190,7 @@ fn trace_digest_identical_across_all_engines() {
     assert!(seq_doc.count(TraceCat::Dispatch) > 0, "dispatch must be traced");
     let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
     for shards in [2, 4] {
-        for exec in [ExecMode::Threads, ExecMode::Cooperative, ExecMode::Optimistic] {
+        for exec in [ExecMode::Threads, ExecMode::Cooperative] {
             let (obs, doc) = run_traced(
                 &spec,
                 Cluster::ring(4, &traced_config(shards, exec)).unwrap(),
@@ -274,7 +248,7 @@ fn gc_active_trace_digest_identical_across_all_engines() {
     assert!(seq_doc.count(TraceCat::Gc) > 0, "GC lifecycle must be traced");
     let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
     for shards in [2, 4] {
-        for exec in [ExecMode::Threads, ExecMode::Cooperative, ExecMode::Optimistic] {
+        for exec in [ExecMode::Threads, ExecMode::Cooperative] {
             let (obs, doc) = run_traced(
                 &spec,
                 Cluster::ring(4, &gc_traced_config(shards, exec)).unwrap(),
@@ -300,7 +274,7 @@ fn trace_reruns_are_bit_identical_per_engine() {
         (1, ExecMode::Auto),
         (2, ExecMode::Threads),
         (2, ExecMode::Cooperative),
-        (4, ExecMode::Optimistic),
+        (4, ExecMode::Threads),
     ] {
         let mk = || Cluster::ring(4, &traced_config(shards, exec)).unwrap();
         let (_, a) = run_traced(&spec, mk(), 64);
@@ -394,13 +368,9 @@ proptest! {
     fn trace_capture_never_perturbs_results(
         seed: u64,
         shards in 1usize..5,
-        exec_pick in 0u8..3,
+        cooperative: bool,
     ) {
-        let exec = match exec_pick {
-            0 => ExecMode::Threads,
-            1 => ExecMode::Cooperative,
-            _ => ExecMode::Optimistic,
-        };
+        let exec = if cooperative { ExecMode::Cooperative } else { ExecMode::Threads };
         let mut spec = small_spec(4);
         spec.keys_per_tenant = 40;
         spec.churn_ops = 120;
@@ -425,9 +395,9 @@ proptest! {
     fn trace_capture_never_perturbs_gc(
         seed: u64,
         shards in 1usize..5,
-        optimistic: bool,
+        cooperative: bool,
     ) {
-        let exec = if optimistic { ExecMode::Optimistic } else { ExecMode::Threads };
+        let exec = if cooperative { ExecMode::Cooperative } else { ExecMode::Threads };
         let mut spec = gc_spec(4);
         spec.seed = seed;
         let mut off_config = gc_traced_config(shards, exec);

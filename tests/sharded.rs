@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 
 use bluedbm::core::node::{AgentStats, Consume};
-use bluedbm::core::{Cluster, ExecMode, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
 use bluedbm::flash::controller::CtrlStats;
 use bluedbm::net::router::RouterStats;
 use bluedbm::net::Topology;
@@ -366,55 +366,6 @@ proptest! {
             prop_assert!(
                 seq == sharded,
                 "shards={shards} partition={partition:?} diverged from sequential"
-            );
-        }
-    }
-
-    /// Random topology × random partition map × random speculation
-    /// window: the optimistic engine must produce the same observations
-    /// as sequential for *every* window — including `W = 0`, which
-    /// disables speculation entirely and degenerates to the conservative
-    /// protocol, and windows far past the lookahead, which force
-    /// rollbacks. Commits and rollbacks are both on trial here: whatever
-    /// the window, committed history must be bit-identical.
-    #[test]
-    fn optimistic_random_topology_partition_and_window_match_sequential(
-        shape in 0u8..3,
-        size in 6usize..13,
-        seed: u64,
-        window in 0u8..4,
-    ) {
-        let topo = || match shape {
-            0 => Topology::ring(size, 2),
-            1 => Topology::line(size, 2),
-            _ => Topology::mesh2d(3, size.div_ceil(3)),
-        };
-        let nodes = topo().node_count();
-        let seq = run_scatter(
-            Cluster::new(topo(), &config_with_shards(1)).unwrap(),
-            2,
-            4,
-        );
-        for shards in [2u32, 4] {
-            let partition: Vec<u32> = (0..nodes)
-                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
-                .collect();
-            let mut config = config_with_shards(1);
-            config.sim.exec = ExecMode::Optimistic;
-            let mut cluster = Cluster::with_partition(topo(), &config, &partition).unwrap();
-            let lookahead = cluster.min_lookahead().unwrap();
-            let w = match window {
-                0 => SimTime::ZERO, // speculation off: pure conservative
-                1 => lookahead / 2, // narrower than the lookahead
-                2 => lookahead * 2,
-                _ => lookahead * 8, // wide enough to roll back often
-            };
-            cluster.set_speculation_window(w);
-            let sharded = run_scatter(cluster, 2, 4);
-            prop_assert!(
-                seq == sharded,
-                "optimistic shards={shards} window={w} partition={partition:?} \
-                 diverged from sequential"
             );
         }
     }
