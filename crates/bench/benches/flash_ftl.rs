@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the storage substrate: SECDED codec
-//! throughput, functional flash array operations, FTL write path and the
+//! throughput, steady-state flash array churn, FTL write path and the
 //! log-structured file system.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -11,6 +11,7 @@ use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 use bluedbm_ftl::ftl::{Ftl, FtlConfig};
 use bluedbm_ftl::rfs::{Rfs, RfsConfig};
 use bluedbm_sim::rng::Rng;
+use bluedbm_workloads::kvgen::kv_flash_geometry;
 
 fn bench_ecc(c: &mut Criterion) {
     let mut rng = Rng::new(1);
@@ -33,23 +34,69 @@ fn bench_ecc(c: &mut Criterion) {
     g.finish();
 }
 
+/// Steady-state array churn on the KV geometry: fill the first
+/// `BLOCKS_PER_PLANE` blocks of every plane (pages interleaved across
+/// planes, as the FTL allocates them), read every page back, erase the
+/// blocks, repeat. One iteration is one page operation — a program, a
+/// read, or a block erase — so the row reads directly as ns per page op.
+struct ArrayChurn {
+    array: FlashArray,
+    pages: Vec<Ppa>,
+    blocks: Vec<Ppa>,
+    data: Vec<u8>,
+    dest: Vec<u8>,
+    step: usize,
+}
+
+const BLOCKS_PER_PLANE: u32 = 2;
+
+impl ArrayChurn {
+    fn new() -> Self {
+        let geom = kv_flash_geometry();
+        let planes: Vec<(u16, u16)> = (0..geom.buses as u16)
+            .flat_map(|bus| (0..geom.chips_per_bus as u16).map(move |chip| (bus, chip)))
+            .collect();
+        let blocks: Vec<Ppa> = (0..BLOCKS_PER_PLANE)
+            .flat_map(|block| {
+                planes
+                    .iter()
+                    .map(move |&(bus, chip)| Ppa::new(bus, chip, block, 0))
+            })
+            .collect();
+        let pages = (0..geom.pages_per_block as u32)
+            .flat_map(|page| blocks.iter().map(move |b| b.with_page(page)))
+            .collect();
+        ArrayChurn {
+            array: FlashArray::new(geom, 1),
+            pages,
+            blocks,
+            data: vec![0xA5; geom.page_bytes],
+            dest: vec![0; geom.page_bytes],
+            step: 0,
+        }
+    }
+
+    fn step(&mut self) {
+        let n = self.pages.len();
+        let i = self.step;
+        self.step = (i + 1) % (2 * n + self.blocks.len());
+        if i < n {
+            self.array.program(self.pages[i], &self.data).unwrap();
+        } else if i < 2 * n {
+            self.array
+                .read_into(self.pages[i - n], &mut self.dest)
+                .unwrap();
+        } else {
+            self.array.erase(self.blocks[i - 2 * n]).unwrap();
+        }
+    }
+}
+
 fn bench_array(c: &mut Criterion) {
-    let geom = FlashGeometry::small();
-    let data = vec![0xA5u8; geom.page_bytes];
+    let mut churn = ArrayChurn::new();
     let mut g = c.benchmark_group("flash_array");
-    g.throughput(Throughput::Bytes(geom.page_bytes as u64));
-    g.bench_function("program_read_erase_cycle", |b| {
-        b.iter_batched(
-            || FlashArray::new(geom, 1),
-            |mut a| {
-                let ppa = Ppa::new(0, 0, 0, 0);
-                a.program(ppa, &data).unwrap();
-                black_box(a.read(ppa).unwrap());
-                a.erase(ppa).unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("kv_geometry_churn_per_page_op", |b| b.iter(|| churn.step()));
     g.finish();
 }
 

@@ -991,15 +991,9 @@ impl Cluster {
                 .component_mut::<FlashController>(ctrl)
                 .expect("controller installed")
                 .array_mut();
-            let mut buf = vec![0u8; geom.page_bytes];
             for round in &outcome.gc {
                 for &(src, dst) in &round.moves {
-                    if array.page_has_data(src) {
-                        array.read_into(src, &mut buf)?;
-                        array.program(dst, &buf)?;
-                    } else {
-                        array.program_blank(dst)?;
-                    }
+                    array.relocate(src, dst)?;
                 }
                 array.erase(round.victim)?;
             }

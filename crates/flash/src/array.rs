@@ -2,17 +2,38 @@
 //!
 //! This is the synchronous truth layer under the DES controller. It
 //! enforces real NAND semantics — program-once-then-erase, whole-block
-//! erases, per-block wear counters — stores real bytes (sparsely, so huge
-//! geometries cost only what is touched), injects wear-dependent bit
-//! errors, and runs every page through the SECDED codec from [`crate::ecc`].
-
-use bluedbm_sim::fxhash::FxHashMap;
+//! erases, per-block wear counters — injects wear-dependent bit errors,
+//! and runs every page through the SECDED codec from [`crate::ecc`].
+//!
+//! Page bytes live in a slab of fixed-size records, each one page of data
+//! followed by its OOB parity, the way the controller keeps a page behind
+//! its ECC. Records are allocated a chunk at a time and recycled through
+//! a free list when a page is trimmed or its block erased, so steady
+//! program/erase churn allocates nothing. A block gets a slot index
+//! (page → record) only when it first receives a data program: untouched
+//! capacity of a huge geometry, and the blank-only shadow arrays behind
+//! the mirror FTL, cost just their per-block bitmaps.
 
 use bluedbm_sim::rng::Rng;
 
 use crate::ecc;
 use crate::error::FlashError;
 use crate::geometry::{FlashGeometry, Ppa};
+
+/// Target size of one slab chunk. A chunk holds as many whole records as
+/// fit, and at least one.
+const CHUNK_BYTES: usize = 8 << 10;
+
+/// Slot-index entry of a page that holds no stored bytes.
+const NO_RECORD: u32 = u32::MAX;
+
+/// Empty a slot-index entry, returning its record to the free list.
+fn recycle(free: &mut Vec<u32>, slot: &mut u32) {
+    let r = std::mem::replace(slot, NO_RECORD);
+    if r != NO_RECORD {
+        free.push(r);
+    }
+}
 
 /// Bit-error injection parameters.
 ///
@@ -71,6 +92,9 @@ struct BlockState {
     bad: bool,
     /// Bitmap of programmed pages.
     programmed: Vec<bool>,
+    /// Slot index: the slab record holding each page's bytes, or
+    /// `NO_RECORD`. Empty until the block first receives a data program.
+    records: Vec<u32>,
 }
 
 /// Cumulative operation counters for one array.
@@ -90,18 +114,23 @@ pub struct ArrayStats {
     pub uncorrectable: u64,
 }
 
-/// A stored codeword: page data plus its OOB parity bytes.
-type StoredPage = (Box<[u8]>, Box<[u8]>);
-
 /// One flash card's worth of NAND.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: FlashGeometry,
-    /// Stored codewords: page data + OOB parity, keyed by linear page id.
-    pages: FxHashMap<usize, StoredPage>,
-    /// Per-block wear/bad/programmed state, keyed by linear block id.
+    /// The record slab: `chunk_records` records of `page_bytes` data
+    /// followed by `oob_bytes` parity per chunk. Record `r` lives in
+    /// chunk `r / chunk_records`.
+    chunks: Vec<Box<[u8]>>,
+    /// Records per slab chunk.
+    chunk_records: usize,
+    /// Records returned by trims and erases, reused before the slab
+    /// grows.
+    free: Vec<u32>,
+    /// Per-block wear/bad/programmed state and slot index, keyed by
+    /// linear block id.
     blocks: Vec<BlockState>,
     rng: Rng,
     error_model: ErrorModel,
@@ -123,11 +152,15 @@ impl FlashArray {
                 erase_count: 0,
                 bad: rng.chance(error_model.factory_bad_fraction),
                 programmed: vec![false; geometry.pages_per_block],
+                records: Vec::new(),
             })
             .collect();
+        let record_bytes = geometry.page_bytes + geometry.oob_bytes();
         FlashArray {
             geometry,
-            pages: FxHashMap::default(),
+            chunks: Vec::new(),
+            chunk_records: (CHUNK_BYTES / record_bytes).max(1),
+            free: Vec::new(),
             blocks,
             rng,
             error_model,
@@ -143,6 +176,19 @@ impl FlashArray {
     /// Operation counters.
     pub fn stats(&self) -> ArrayStats {
         self.stats
+    }
+
+    /// Records the slab has allocated, live or free. The slab grows one
+    /// chunk at a time and only when the free list is empty, so this
+    /// never exceeds the peak count of pages holding bytes, rounded up
+    /// to a whole chunk.
+    pub fn slab_records(&self) -> usize {
+        self.chunks.len() * self.chunk_records
+    }
+
+    /// Records per slab chunk (the slab's growth step).
+    pub fn chunk_records(&self) -> usize {
+        self.chunk_records
     }
 
     fn block_index(&self, ppa: Ppa) -> usize {
@@ -161,6 +207,99 @@ impl FlashArray {
         Ok(())
     }
 
+    fn record_bytes(&self) -> usize {
+        self.geometry.page_bytes + self.geometry.oob_bytes()
+    }
+
+    /// Chunk and byte offset of record `r`.
+    fn locate(&self, r: u32) -> (usize, usize) {
+        let r = r as usize;
+        (
+            r / self.chunk_records,
+            (r % self.chunk_records) * self.record_bytes(),
+        )
+    }
+
+    fn record(&self, r: u32) -> &[u8] {
+        let (chunk, off) = self.locate(r);
+        &self.chunks[chunk][off..off + self.record_bytes()]
+    }
+
+    fn record_mut(&mut self, r: u32) -> &mut [u8] {
+        let (chunk, off) = self.locate(r);
+        let len = self.record_bytes();
+        &mut self.chunks[chunk][off..off + len]
+    }
+
+    /// Record `src` to read beside record `dst` to write (`src != dst`).
+    fn record_pair(&mut self, src: u32, dst: u32) -> (&[u8], &mut [u8]) {
+        let len = self.record_bytes();
+        let ((cs, os), (cd, od)) = (self.locate(src), self.locate(dst));
+        let (s, d): (&[u8], &mut [u8]) = if cs == cd {
+            let chunk = &mut self.chunks[cs];
+            if os < od {
+                let (lo, hi) = chunk.split_at_mut(od);
+                (&lo[os..], hi)
+            } else {
+                let (lo, hi) = chunk.split_at_mut(os);
+                (hi, &mut lo[od..])
+            }
+        } else if cs < cd {
+            let (lo, hi) = self.chunks.split_at_mut(cd);
+            (&lo[cs][os..], &mut hi[0][od..])
+        } else {
+            let (lo, hi) = self.chunks.split_at_mut(cs);
+            (&hi[0][os..], &mut lo[cd][od..])
+        };
+        (&s[..len], &mut d[..len])
+    }
+
+    /// A free record: recycled if any, else from a freshly allocated
+    /// chunk.
+    fn alloc_record(&mut self) -> u32 {
+        if let Some(r) = self.free.pop() {
+            return r;
+        }
+        let base = self.slab_records() as u32;
+        let n = self.chunk_records as u32;
+        self.chunks
+            .push(vec![0u8; self.chunk_records * self.record_bytes()].into_boxed_slice());
+        // Lowest index on top, so a new chunk fills front to back.
+        self.free.extend((base + 1..base + n).rev());
+        base
+    }
+
+    /// The record holding `ppa`'s bytes, if any (`ppa` must be in range).
+    fn record_of(&self, ppa: Ppa) -> Option<u32> {
+        self.blocks[self.block_index(ppa)]
+            .records
+            .get(ppa.page as usize)
+            .copied()
+            .filter(|&r| r != NO_RECORD)
+    }
+
+    /// Mark `ppa` programmed with its bytes in record `r`.
+    fn bind(&mut self, ppa: Ppa, r: u32) {
+        let pages_per_block = self.geometry.pages_per_block;
+        let bi = self.block_index(ppa);
+        let block = &mut self.blocks[bi];
+        if block.records.is_empty() {
+            block.records = vec![NO_RECORD; pages_per_block];
+        }
+        block.records[ppa.page as usize] = r;
+        block.programmed[ppa.page as usize] = true;
+        self.stats.programs += 1;
+    }
+
+    /// Program-side checks shared by every program flavour.
+    fn check_programmable(&self, ppa: Ppa) -> Result<(), FlashError> {
+        self.check(ppa)?;
+        if self.blocks[self.block_index(ppa)].programmed[ppa.page as usize] {
+            return Err(FlashError::AlreadyProgrammed(ppa));
+        }
+        Ok(())
+    }
+
     /// Program one page.
     ///
     /// # Errors
@@ -172,24 +311,21 @@ impl FlashArray {
     ///   cannot overwrite in place.
     pub fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
         self.check(ppa)?;
-        if data.len() != self.geometry.page_bytes {
+        let page_bytes = self.geometry.page_bytes;
+        if data.len() != page_bytes {
             return Err(FlashError::WrongPageSize {
                 got: data.len(),
-                want: self.geometry.page_bytes,
+                want: page_bytes,
             });
         }
-        let bi = self.block_index(ppa);
-        let programmed = &mut self.blocks[bi].programmed[ppa.page as usize];
-        if *programmed {
+        if self.blocks[self.block_index(ppa)].programmed[ppa.page as usize] {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
-        *programmed = true;
-        let oob = ecc::encode_page(data);
-        self.pages.insert(
-            self.geometry.linear_of(ppa),
-            (data.into(), oob.into_boxed_slice()),
-        );
-        self.stats.programs += 1;
+        let r = self.alloc_record();
+        let (stored, oob) = self.record_mut(r).split_at_mut(page_bytes);
+        stored.copy_from_slice(data);
+        ecc::encode_page_into(stored, oob);
+        self.bind(ppa, r);
         Ok(())
     }
 
@@ -219,8 +355,8 @@ impl FlashArray {
     /// [`bluedbm_sim::PageStore`] page, so read data is produced by the
     /// decoder in place instead of being decoded into a scratch `Vec`
     /// and copied into the store afterwards. On the common no-injected-
-    /// errors configuration the stored codeword is decoded directly from
-    /// the array's backing buffer with no intermediate copy at all.
+    /// errors configuration the stored record is decoded directly from
+    /// the slab with no intermediate copy at all.
     ///
     /// Returns the number of corrected codewords; on any error `dest`'s
     /// contents are unspecified.
@@ -233,26 +369,97 @@ impl FlashArray {
     ///
     /// Panics if `dest` is not exactly one page.
     pub fn read_into(&mut self, ppa: Ppa, dest: &mut [u8]) -> Result<u32, FlashError> {
-        self.check(ppa)?;
-        let linear = self.geometry.linear_of(ppa);
-        let bi = self.block_index(ppa);
-        let wear = self.blocks[bi].erase_count;
-        if !self.pages.contains_key(&linear) {
-            return Err(FlashError::NotProgrammed(ppa));
+        let (r, wear) = self.begin_read(ppa)?;
+        let page_bytes = self.geometry.page_bytes;
+        let noisy = self.corrupted_copy(r, wear);
+        let (data, oob) = noisy
+            .as_deref()
+            .unwrap_or(self.record(r))
+            .split_at(page_bytes);
+        let decoded = ecc::decode_page_into(data, oob, dest);
+        self.finish_read(ppa, decoded)
+    }
+
+    /// Move a page's contents from `src` to the erased page `dst` — the
+    /// copy-forward of garbage collection, as one ECC-decoded copy
+    /// between two slab records with no intermediate buffer. The stored
+    /// bytes go through the same read path as [`FlashArray::read_into`]
+    /// (error injection, SECDED correction, read counters) and are
+    /// programmed at `dst` with fresh parity. When `src` holds no bytes
+    /// (a blank shadow page, see [`FlashArray::program_blank`]) `dst` is
+    /// programmed blank. `src` is left as it was; the caller erases its
+    /// block.
+    ///
+    /// Returns the number of codewords corrected on the read.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`FlashArray::read`] on `src` followed by
+    /// [`FlashArray::program`] on `dst`, checked in that order: an
+    /// uncorrectable source fails with [`FlashError::Uncorrectable`]
+    /// naming `src` and leaves `dst` erased.
+    pub fn relocate(&mut self, src: Ppa, dst: Ppa) -> Result<u32, FlashError> {
+        if !self.page_has_data(src) {
+            return self.program_blank(dst).map(|()| 0);
         }
-        self.stats.reads += 1;
-        let decoded = if self.ber_at(wear) <= 0.0 {
-            // No injected errors: decode the stored codeword in place.
-            let (data, oob) = self.pages.get(&linear).expect("checked present");
-            ecc::decode_page_into(data, oob, dest)
-        } else {
-            // Error injection must not corrupt the stored truth: flip
-            // bits on a scratch copy, then decode into `dest`.
-            let (data, oob) = self.pages.get(&linear).expect("checked present");
-            let (mut data, mut oob) = (data.to_vec(), oob.to_vec());
-            self.inject_errors(&mut data, &mut oob, wear);
-            ecc::decode_page_into(&data, &oob, dest)
+        let (from, wear) = self.begin_read(src)?;
+        let page_bytes = self.geometry.page_bytes;
+        let noisy = self.corrupted_copy(from, wear);
+        let to = self.alloc_record();
+        let (stored, out) = self.record_pair(from, to);
+        let (data, oob) = noisy.as_deref().unwrap_or(stored).split_at(page_bytes);
+        let decoded = ecc::decode_page_into(data, oob, &mut out[..page_bytes]);
+        let programmable = self.check_programmable(dst);
+        // The read's error, if any, wins, as in read-then-program.
+        let result = self
+            .finish_read(src, decoded)
+            .and_then(|c| programmable.map(|()| c));
+        let Ok(corrected) = result else {
+            self.free.push(to);
+            return result;
         };
+        let (copied, parity) = self.record_mut(to).split_at_mut(page_bytes);
+        ecc::encode_page_into(copied, parity);
+        self.bind(dst, to);
+        Ok(corrected)
+    }
+
+    /// Read-side checks and counters: the record holding `ppa` and the
+    /// wear of its block.
+    fn begin_read(&mut self, ppa: Ppa) -> Result<(u32, u64), FlashError> {
+        self.check(ppa)?;
+        let wear = self.blocks[self.block_index(ppa)].erase_count;
+        let r = self.record_of(ppa).ok_or(FlashError::NotProgrammed(ppa))?;
+        self.stats.reads += 1;
+        Ok((r, wear))
+    }
+
+    /// Under a nonzero error rate, a copy of record `r` (data then
+    /// parity) with bits flipped at the rate for `wear` — error injection
+    /// never touches the stored truth. `None` when the rate is zero.
+    fn corrupted_copy(&mut self, r: u32, wear: u64) -> Option<Vec<u8>> {
+        let ber = self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64;
+        if ber <= 0.0 {
+            return None;
+        }
+        let mut noisy = self.record(r).to_vec();
+        // Expected flips over the whole codeword region; sample a count
+        // from the exponentially-spaced geometric approximation.
+        let total_bits = noisy.len() * 8;
+        let expected = ber * total_bits as f64;
+        let mut flips = expected.floor() as u64;
+        if self.rng.chance(expected - flips as f64) {
+            flips += 1;
+        }
+        for _ in 0..flips {
+            let bit = self.rng.below(total_bits as u64) as usize;
+            noisy[bit / 8] ^= 1 << (bit % 8);
+        }
+        Some(noisy)
+    }
+
+    /// Account a decode's outcome.
+    fn finish_read(&mut self, ppa: Ppa, decoded: Option<u32>) -> Result<u32, FlashError> {
         match decoded {
             Some(corrected) => {
                 self.stats.corrected_words += u64::from(corrected);
@@ -261,36 +468,6 @@ impl FlashArray {
             None => {
                 self.stats.uncorrectable += 1;
                 Err(FlashError::Uncorrectable(ppa))
-            }
-        }
-    }
-
-    /// Raw bit error rate at `wear` erase cycles — the one source of
-    /// truth for both the zero-copy fast-path gate and the injector.
-    fn ber_at(&self, wear: u64) -> f64 {
-        self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64
-    }
-
-    fn inject_errors(&mut self, data: &mut [u8], oob: &mut [u8], wear: u64) {
-        let ber = self.ber_at(wear);
-        if ber <= 0.0 {
-            return;
-        }
-        // Expected flips over the whole codeword region; sample a count
-        // from the exponentially-spaced geometric approximation.
-        let total_bits = (data.len() + oob.len()) * 8;
-        let expected = ber * total_bits as f64;
-        let mut flips = expected.floor() as u64;
-        if self.rng.chance(expected - flips as f64) {
-            flips += 1;
-        }
-        for _ in 0..flips {
-            let bit = self.rng.below(total_bits as u64) as usize;
-            let (byte, off) = (bit / 8, bit % 8);
-            if byte < data.len() {
-                data[byte] ^= 1 << off;
-            } else {
-                oob[byte - data.len()] ^= 1 << off;
             }
         }
     }
@@ -309,10 +486,13 @@ impl FlashArray {
     /// Address errors as for [`FlashArray::program`].
     pub fn trim(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
-        let bi = self.block_index(ppa);
-        if self.blocks[bi].programmed[ppa.page as usize] {
-            self.blocks[bi].programmed[ppa.page as usize] = false;
-            self.pages.remove(&self.geometry.linear_of(ppa));
+        let (bi, page) = (self.block_index(ppa), ppa.page as usize);
+        let block = &mut self.blocks[bi];
+        if block.programmed[page] {
+            block.programmed[page] = false;
+            if let Some(slot) = block.records.get_mut(page) {
+                recycle(&mut self.free, slot);
+            }
             self.stats.trims += 1;
         }
         Ok(())
@@ -326,12 +506,12 @@ impl FlashArray {
     pub fn erase(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
         let bi = self.block_index(ppa);
-        for page in 0..self.geometry.pages_per_block {
-            let linear = self.geometry.linear_of(ppa.with_page(page as u32));
-            self.pages.remove(&linear);
-            self.blocks[bi].programmed[page] = false;
+        let block = &mut self.blocks[bi];
+        for slot in &mut block.records {
+            recycle(&mut self.free, slot);
         }
-        self.blocks[bi].erase_count += 1;
+        block.programmed.fill(false);
+        block.erase_count += 1;
         self.stats.erases += 1;
         Ok(())
     }
@@ -352,11 +532,8 @@ impl FlashArray {
     /// [`FlashError::AlreadyProgrammed`] if the page is already
     /// programmed (with or without data).
     pub fn program_blank(&mut self, ppa: Ppa) -> Result<(), FlashError> {
-        self.check(ppa)?;
+        self.check_programmable(ppa)?;
         let bi = self.block_index(ppa);
-        if self.blocks[bi].programmed[ppa.page as usize] {
-            return Err(FlashError::AlreadyProgrammed(ppa));
-        }
         self.blocks[bi].programmed[ppa.page as usize] = true;
         self.stats.programs += 1;
         Ok(())
@@ -371,7 +548,7 @@ impl FlashArray {
     /// `true` if the page holds stored bytes — i.e. it was programmed via
     /// [`FlashArray::program`], not [`FlashArray::program_blank`].
     pub fn page_has_data(&self, ppa: Ppa) -> bool {
-        self.geometry.contains(ppa) && self.pages.contains_key(&self.geometry.linear_of(ppa))
+        self.geometry.contains(ppa) && self.record_of(ppa).is_some()
     }
 
     /// Erase cycles endured by the block containing `ppa`.
@@ -647,5 +824,91 @@ mod tests {
         let data = vec![9u8; a.geometry().page_bytes];
         a.program(p1, &data).unwrap();
         assert_eq!(a.read(p1).unwrap().data, data);
+        assert_eq!(a.slab_records(), a.chunk_records());
+    }
+
+    #[test]
+    fn erase_and_trim_recycle_slab_records() {
+        let mut a = tiny();
+        let pages = a.geometry().pages_per_block as u32;
+        let block = |page| Ppa::new(0, 1, 3, page);
+        for page in 0..pages {
+            a.program(block(page), &page_of(&a, page as u8)).unwrap();
+        }
+        let grown = a.slab_records();
+        assert!(grown >= pages as usize);
+        for round in 1..=3u8 {
+            a.erase(block(0)).unwrap();
+            for page in 0..pages {
+                assert!(!a.page_has_data(block(page)));
+                a.program(block(page), &page_of(&a, round)).unwrap();
+            }
+            // Every recycled record holds the new bytes, never the old.
+            for page in 0..pages {
+                assert_eq!(a.read(block(page)).unwrap().data, page_of(&a, round));
+            }
+            assert_eq!(a.slab_records(), grown, "erase must recycle, not grow");
+        }
+        a.trim(block(4)).unwrap();
+        a.program(Ppa::new(1, 0, 0, 0), &page_of(&a, 0xEE)).unwrap();
+        assert_eq!(a.slab_records(), grown, "trim must recycle, not grow");
+        assert_eq!(a.read(Ppa::new(1, 0, 0, 0)).unwrap().data, page_of(&a, 0xEE));
+    }
+
+    #[test]
+    fn relocate_copies_a_data_page() {
+        let mut a = tiny();
+        let (src, dst) = (Ppa::new(0, 0, 1, 3), Ppa::new(1, 1, 5, 0));
+        a.program(src, &page_of(&a, 0x3C)).unwrap();
+        assert_eq!(a.relocate(src, dst), Ok(0));
+        assert_eq!(a.read(dst).unwrap().data, page_of(&a, 0x3C));
+        assert_eq!(a.read(src).unwrap().data, page_of(&a, 0x3C), "source untouched");
+        assert_eq!((a.stats().programs, a.stats().reads), (2, 3));
+        // The destination obeys program-once like any other program.
+        assert_eq!(a.relocate(src, dst), Err(FlashError::AlreadyProgrammed(dst)));
+    }
+
+    #[test]
+    fn relocate_programs_blank_from_a_blank_page() {
+        let mut a = tiny();
+        let (src, dst) = (Ppa::new(0, 0, 1, 3), Ppa::new(0, 0, 2, 0));
+        a.program_blank(src).unwrap();
+        assert_eq!(a.relocate(src, dst), Ok(0));
+        assert!(a.is_programmed(dst));
+        assert!(!a.page_has_data(dst));
+        assert_eq!((a.stats().programs, a.stats().reads), (2, 0));
+        assert_eq!(a.slab_records(), 0, "blank pages allocate no records");
+    }
+
+    #[test]
+    fn relocate_matches_read_then_program_on_a_failing_source() {
+        let model = ErrorModel {
+            base_ber: 0.02,
+            ber_per_erase: 0.0,
+            factory_bad_fraction: 0.0,
+        };
+        let mut old = FlashArray::with_error_model(FlashGeometry::tiny(), 13, model);
+        let mut new = FlashArray::with_error_model(FlashGeometry::tiny(), 13, model);
+        let (src, dst) = (Ppa::new(0, 0, 0, 0), Ppa::new(0, 1, 0, 0));
+        old.program(src, &page_of(&old, 0x5A)).unwrap();
+        new.program(src, &page_of(&new, 0x5A)).unwrap();
+        let mut saw_uncorrectable = false;
+        for _ in 0..200 {
+            let want = old
+                .read(src)
+                .and_then(|r| old.program(dst, &r.data).map(|()| r.corrected_words));
+            let got = new.relocate(src, dst);
+            assert_eq!(got, want);
+            assert_eq!(new.stats(), old.stats());
+            if got == Err(FlashError::Uncorrectable(src)) {
+                saw_uncorrectable = true;
+                assert!(!new.is_programmed(dst), "a failed relocation leaves dst erased");
+            }
+            old.erase(dst).unwrap();
+            new.erase(dst).unwrap();
+        }
+        assert!(saw_uncorrectable);
+        // Same error-injection draws consumed: the next reads still agree.
+        assert_eq!(new.read(src), old.read(src));
     }
 }

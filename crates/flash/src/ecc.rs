@@ -214,9 +214,23 @@ pub struct PageDecode {
 /// Panics if `page.len()` is not a multiple of 8.
 pub fn encode_page(page: &[u8]) -> Vec<u8> {
     assert!(page.len().is_multiple_of(8), "page length must be a multiple of 8");
-    page.chunks_exact(8)
-        .map(|w| encode(u64::from_le_bytes(w.try_into().expect("chunk of 8"))))
-        .collect()
+    let mut oob = vec![0u8; page.len() / 8];
+    encode_page_into(page, &mut oob);
+    oob
+}
+
+/// Encode a page's parity straight into `oob` (one byte per 8-byte
+/// word) — the allocation-free encoder the flash array uses to write a
+/// record's parity next to its data.
+///
+/// # Panics
+///
+/// Panics if `page.len() != 8 * oob.len()`.
+pub fn encode_page_into(page: &[u8], oob: &mut [u8]) {
+    assert_eq!(page.len(), oob.len() * 8, "page/oob size mismatch");
+    for (word, parity) in page.chunks_exact(8).zip(oob) {
+        *parity = encode(u64::from_le_bytes(word.try_into().expect("chunk of 8")));
+    }
 }
 
 /// Decode a page against its out-of-band parity bytes, writing the
@@ -371,6 +385,16 @@ mod tests {
         let dec = decode_page(&page, &oob).expect("clean page decodes");
         assert_eq!(dec.data, page);
         assert_eq!(dec.corrected_words, 0);
+    }
+
+    #[test]
+    fn encode_page_into_matches_encode_page() {
+        let mut rng = Rng::new(9);
+        let mut page = vec![0u8; 256];
+        rng.fill_bytes(&mut page);
+        let mut oob = vec![0xFFu8; 32];
+        encode_page_into(&page, &mut oob);
+        assert_eq!(oob, encode_page(&page));
     }
 
     #[test]

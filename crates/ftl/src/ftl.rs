@@ -43,9 +43,9 @@
 //! simulated timing), which is what makes the mirror usable as a
 //! cross-engine determinism oracle. Data-carrying and blank pages can
 //! mix freely in one `Ftl`: GC relocates whichever kind it finds
-//! ([`FlashArray::page_has_data`] decides per page), so a full-data twin
-//! and a blank mirror driven with the same op sequence make identical
-//! policy decisions.
+//! ([`FlashArray::relocate`] copies the bytes or programs blank, per
+//! page), so a full-data twin and a blank mirror driven with the same op
+//! sequence make identical policy decisions.
 
 use std::collections::VecDeque;
 
@@ -513,12 +513,7 @@ impl Ftl {
                 continue;
             };
             let dst = self.alloc_in_plane(pi).ok_or(FtlError::NoSpace)?;
-            if self.array.page_has_data(src) {
-                let data = self.array.read(src)?.data;
-                self.array.program(dst, &data)?;
-            } else {
-                self.array.program_blank(dst)?;
-            }
+            self.array.relocate(src, dst)?;
             self.stats.flash_writes += 1;
             self.stats.gc_moves += 1;
             self.invalidate(lba);

@@ -448,11 +448,10 @@ impl Rfs {
             let Some((name, idx)) = self.owner.get(&linear).cloned() else {
                 continue;
             };
-            let data = self.array.read(src)?.data;
             // Relocate within the plane: the cleaner reserve guarantees a
             // destination and avoids cross-plane cleaning ping-pong.
             let dst = self.alloc_in_plane(pi).ok_or(FtlError::NoSpace)?;
-            self.array.program(dst, &data)?;
+            self.array.relocate(src, dst)?;
             self.stats.flash_writes += 1;
             self.stats.cleaner_moves += 1;
             self.invalidate_page(src);

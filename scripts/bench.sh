@@ -53,6 +53,9 @@ cargo bench -p bluedbm-bench --bench sim_throughput
 echo "== engines: ISP functional core throughput =="
 cargo bench -p bluedbm-bench --bench engines
 
+echo "== flash_ftl: SECDED codec, flash array churn, FTL and file system =="
+cargo bench -p bluedbm-bench --bench flash_ftl
+
 echo "== gc_cliff: flash-lifecycle tail latency and write amplification =="
 cargo run -p bluedbm-bench --release --quiet --bin gc_cliff
 

@@ -4,8 +4,9 @@ mod common;
 
 use proptest::prelude::*;
 
+use bluedbm::flash::array::ErrorModel;
 use bluedbm::flash::ecc::{self, Decoded};
-use bluedbm::flash::{FlashArray, FlashGeometry};
+use bluedbm::flash::{FlashArray, FlashError, FlashGeometry, Ppa};
 use bluedbm::ftl::ftl::{Ftl, FtlConfig};
 use bluedbm::host::ReorderQueue;
 use bluedbm::isp::mp::MpMatcher;
@@ -316,5 +317,129 @@ proptest! {
             FtlConfig::default(),
         ).expect("ftl");
         common::ftl_matches_model(ftl, ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The flash array stores exactly what an address -> bytes map
+    /// would, under any sequence of program / blank program / read /
+    /// trim / erase, with and without injected bit errors: same data,
+    /// same errors, same program bitmap. Every program writes a fresh
+    /// version number, so a read of a recycled slab record's old bytes
+    /// would show. Steady churn never grows the slab past the peak
+    /// count of pages holding bytes, rounded up to one chunk.
+    #[test]
+    fn flash_array_matches_map_oracle(
+        ops in proptest::collection::vec((0u8..5, 0usize..256, 0u8..255), 1..400),
+    ) {
+        use std::collections::hash_map::Entry;
+        let geom = FlashGeometry::tiny();
+        for errors in [ErrorModel::none(), ErrorModel::wearing()] {
+            let mut array = FlashArray::with_error_model(geom, 29, errors);
+            // detlint::allow(no-std-hasher): oracle model independent of fxhash
+            let mut model: std::collections::HashMap<Ppa, Vec<u8>> = Default::default();
+            let mut version = 0u64;
+            let mut page = |fill: u8| {
+                version += 1;
+                let mut bytes = vec![fill; geom.page_bytes];
+                bytes[..8].copy_from_slice(&version.to_le_bytes());
+                bytes
+            };
+            let mut peak_live = 0usize;
+            for &(op, id, fill) in &ops {
+                let ppa = geom.ppa_of(id);
+                let bad = array.is_bad(ppa);
+                match op {
+                    0 | 1 => {
+                        // An empty entry is a blank-programmed page.
+                        let data = if op == 0 { page(fill) } else { Vec::new() };
+                        let want = if bad {
+                            Err(FlashError::BadBlock(ppa))
+                        } else {
+                            match model.entry(ppa) {
+                                Entry::Occupied(_) => Err(FlashError::AlreadyProgrammed(ppa)),
+                                Entry::Vacant(slot) => {
+                                    slot.insert(data.clone());
+                                    Ok(())
+                                }
+                            }
+                        };
+                        let got = if data.is_empty() {
+                            array.program_blank(ppa)
+                        } else {
+                            array.program(ppa, &data)
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                    2 => {
+                        let got = array.read(ppa).map(|r| r.data);
+                        match model.get(&ppa) {
+                            _ if bad => prop_assert_eq!(got, Err(FlashError::BadBlock(ppa))),
+                            Some(data) if !data.is_empty() => prop_assert_eq!(got, Ok(data.clone())),
+                            _ => prop_assert_eq!(got, Err(FlashError::NotProgrammed(ppa))),
+                        }
+                    }
+                    3 => {
+                        let want = if bad {
+                            Err(FlashError::BadBlock(ppa))
+                        } else {
+                            model.remove(&ppa);
+                            Ok(())
+                        };
+                        prop_assert_eq!(array.trim(ppa), want);
+                    }
+                    _ => {
+                        let want = if bad {
+                            Err(FlashError::BadBlock(ppa))
+                        } else {
+                            let block = (ppa.bus, ppa.chip, ppa.block);
+                            model.retain(|p, _| (p.bus, p.chip, p.block) != block);
+                            Ok(())
+                        };
+                        prop_assert_eq!(array.erase(ppa), want);
+                    }
+                }
+                prop_assert_eq!(array.is_programmed(ppa), model.contains_key(&ppa));
+                let has_data = model.get(&ppa).is_some_and(|d| !d.is_empty());
+                prop_assert_eq!(array.page_has_data(ppa), has_data);
+                peak_live = peak_live.max(model.values().filter(|d| !d.is_empty()).count());
+                let chunk = array.chunk_records();
+                prop_assert!(array.slab_records() <= peak_live.div_ceil(chunk) * chunk);
+            }
+            // Erase-then-reprogram cycles over every touched good block:
+            // each read must return the newest version, never the bytes a
+            // recycled record held before.
+            let mut blocks: Vec<Ppa> = model.keys().map(|p| p.with_page(0)).collect();
+            blocks.sort();
+            blocks.dedup();
+            let slab = array.slab_records();
+            for cycle in 0..3u8 {
+                let mut written = Vec::new();
+                for &block in &blocks {
+                    array.erase(block).expect("good block erases");
+                    for p in 0..geom.pages_per_block as u32 {
+                        prop_assert!(!array.page_has_data(block.with_page(p)));
+                    }
+                    // Fewer pages per block than before each cycle, so
+                    // live pages never exceed the slab's peak.
+                    let live = model
+                        .iter()
+                        .filter(|(p, d)| p.with_page(0) == block && !d.is_empty())
+                        .count();
+                    for p in 0..live.saturating_sub(cycle as usize) as u32 {
+                        let data = page(cycle);
+                        array.program(block.with_page(p), &data).expect("erased page programs");
+                        written.push((block.with_page(p), data));
+                    }
+                }
+                for (ppa, data) in &written {
+                    prop_assert_eq!(&array.read(*ppa).expect("programmed page reads").data, data);
+                }
+                // Reprogramming recycles records: the slab does not grow.
+                prop_assert_eq!(array.slab_records(), slab);
+            }
+        }
     }
 }
