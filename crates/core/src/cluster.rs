@@ -6,6 +6,14 @@
 //! the integrated network. Experiment drivers inject operations, the
 //! cluster runs the event queue to quiescence, and completions come back
 //! with simulated timestamps.
+//!
+//! The simulator is always a [`ShardedSimulator`]: every component of a
+//! node lives in the node's shard. With one shard (`config.sim.shards`
+//! of 1, the default) it runs the sequential [`Simulator`] kernel
+//! directly; with more it runs the conservative-parallel window
+//! protocol. Both are deterministic and observably identical (same
+//! statistics, same event counts, same store quiescence) — the shard
+//! count is a wall-clock decision, never a modelling one.
 
 use std::error::Error;
 use std::fmt;
@@ -18,7 +26,7 @@ use bluedbm_ftl::{Ftl, GcRound};
 use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network, Router, RouterStats};
 use bluedbm_net::topology::{NodeId, PortId, Topology};
-use bluedbm_sim::engine::{Component, ComponentId, Simulator};
+use bluedbm_sim::engine::{ComponentId, Simulator};
 use bluedbm_sim::shard::{ExecMode, ShardStats, ShardedSimulator};
 use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageRef, TracePart, WallLaneProfile};
@@ -30,94 +38,6 @@ use crate::node::{AgentOp, AgentStats, Completed, Consume, NodeAgent, DATA_ENDPO
 use crate::scheduler::{AccelSched, SchedStats};
 
 pub use crate::node::GlobalPageAddr;
-
-/// The execution engine behind a [`Cluster`]: the sequential typed
-/// kernel, or the conservative-parallel sharded runtime when
-/// `config.sim.shards > 1`. Sharded runs are deterministic and
-/// observably identical to sequential runs (same statistics, same event
-/// counts, same store quiescence) — the engine choice is a wall-clock
-/// decision, never a modelling one.
-enum Engine {
-    // Boxed: the sequential simulator is a large inline struct and
-    // `Cluster` moves around in tests; the sharded variant is already a
-    // handle over heap state.
-    Seq(Box<Simulator<Msg>>),
-    Sharded(ShardedSimulator<Msg>),
-}
-
-impl Engine {
-    fn run(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.run(),
-            Engine::Sharded(sim) => sim.run(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Engine::Seq(sim) => sim.now(),
-            Engine::Sharded(sim) => sim.now(),
-        }
-    }
-
-    fn events_delivered(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_delivered(),
-            Engine::Sharded(sim) => sim.events_delivered(),
-        }
-    }
-
-    fn schedule<T: Into<Msg>>(&mut self, delay: SimTime, to: ComponentId, msg: T) {
-        match self {
-            Engine::Seq(sim) => sim.schedule(delay, to, msg),
-            Engine::Sharded(sim) => sim.schedule(delay, to, msg),
-        }
-    }
-
-    fn component<C: Component<Msg>>(&self, id: ComponentId) -> Option<&C> {
-        match self {
-            Engine::Seq(sim) => sim.component::<C>(id),
-            Engine::Sharded(sim) => sim.component::<C>(id),
-        }
-    }
-
-    fn component_mut<C: Component<Msg>>(&mut self, id: ComponentId) -> Option<&mut C> {
-        match self {
-            Engine::Seq(sim) => sim.component_mut::<C>(id),
-            Engine::Sharded(sim) => sim.component_mut::<C>(id),
-        }
-    }
-
-    /// Stage a page into the store segment the component `consumer`
-    /// reads from (the shared store on the sequential engine, the owning
-    /// shard's segment on the sharded one).
-    fn stage_page(&mut self, consumer: ComponentId, data: &[u8]) -> PageRef {
-        match self {
-            Engine::Seq(sim) => sim.page_store_mut().alloc_from(data),
-            Engine::Sharded(sim) => {
-                let shard = sim.owner_of(consumer).expect("consumer installed");
-                sim.page_store_mut(shard).alloc_from(data)
-            }
-        }
-    }
-
-    fn assert_quiescent(&self) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.page_store().assert_quiescent();
-                sim.pool_store().assert_quiescent();
-            }
-            Engine::Sharded(sim) => sim.assert_quiescent(),
-        }
-    }
-
-    fn take_trace(&mut self) -> Vec<TracePart> {
-        match self {
-            Engine::Seq(sim) => vec![sim.take_trace()],
-            Engine::Sharded(sim) => sim.take_trace(),
-        }
-    }
-}
 
 /// The conservative lookahead of a partition: the minimum latency of any
 /// cable whose endpoints live in different shards. Every link shares one
@@ -223,7 +143,9 @@ pub struct CompletedRead {
 /// A DES world of BlueDBM nodes. See the
 /// [crate-level documentation](crate) for an example.
 pub struct Cluster {
-    engine: Engine,
+    /// The simulator: one shard per partition class, each node's
+    /// components pinned to the node's shard.
+    engine: ShardedSimulator<Msg>,
     config: SystemConfig,
     topo: Topology,
     routers: Vec<ComponentId>,
@@ -247,7 +169,7 @@ pub struct Cluster {
     /// under `config.gc.log`) — the conformance suite's expected victim
     /// and relocation sequence.
     gc_rounds_log: Vec<Vec<Vec<GcRound>>>,
-    /// Node -> shard map (all zeros on the sequential engine).
+    /// Node -> shard map (all zeros on one shard).
     partition: Vec<u32>,
     /// Next unallocated linear page per (node, card).
     bump: Vec<Vec<usize>>,
@@ -282,11 +204,12 @@ impl Cluster {
     }
 
     /// Build a cluster with an explicit node -> shard map (the shard
-    /// count is `max(partition) + 1`; a map of all zeros runs the
-    /// sequential engine). Every component of a node — router, flash
-    /// controllers, splitters, PCIe link, agent — is pinned to the
-    /// node's shard, so only inter-node traffic crosses shards and the
-    /// conservative lookahead is the minimum cross-shard link latency.
+    /// count is `max(partition) + 1`; a map of all zeros is one shard,
+    /// which runs the sequential kernel). Every component of a node —
+    /// router, flash controllers, splitters, PCIe link, agent — is
+    /// pinned to the node's shard, so only inter-node traffic crosses
+    /// shards and the conservative lookahead is the minimum cross-shard
+    /// link latency.
     ///
     /// # Errors
     ///
@@ -384,37 +307,29 @@ impl Cluster {
             controllers.push(node_ctrls);
             splitters.push(node_splitters);
         }
-        let engine = if shards <= 1 {
-            sim.set_trace(config.sim.trace, 0);
-            Engine::Seq(Box::new(sim))
-        } else {
-            let mut owner = vec![u32::MAX; sim.component_count()];
-            for node in 0..n {
-                let shard = partition[node];
-                owner[routers[node].index()] = shard;
-                owner[agents[node].index()] = shard;
-                owner[pcie[node].index()] = shard;
-                owner[scheds[node].index()] = shard;
-                owner[gc_agents[node].index()] = shard;
-                for c in controllers[node].iter().chain(&splitters[node]) {
-                    owner[c.index()] = shard;
-                }
+        let mut owner = vec![u32::MAX; sim.component_count()];
+        for node in 0..n {
+            let shard = partition[node];
+            owner[routers[node].index()] = shard;
+            owner[agents[node].index()] = shard;
+            owner[pcie[node].index()] = shard;
+            owner[scheds[node].index()] = shard;
+            owner[gc_agents[node].index()] = shard;
+            for c in controllers[node].iter().chain(&splitters[node]) {
+                owner[c.index()] = shard;
             }
-            let lookaheads =
-                cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
-            // The pair matrix can only widen the global single-link
-            // bound, never undercut it.
-            debug_assert!(lookaheads.iter().enumerate().all(|(s, row)| {
-                row.iter().enumerate().all(|(r, &l)| {
-                    s == r || l >= cross_shard_lookahead(&topo, partition, config.net.hop_latency)
-                })
-            }));
-            let mut sharded =
-                ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
-            sharded.set_exec_mode(config.sim.exec);
-            sharded.set_trace(config.sim.trace);
-            Engine::Sharded(sharded)
-        };
+        }
+        let lookaheads = cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
+        // The pair matrix can only widen the global single-link bound,
+        // never undercut it.
+        debug_assert!(lookaheads.iter().enumerate().all(|(s, row)| {
+            row.iter().enumerate().all(|(r, &l)| {
+                s == r || l >= cross_shard_lookahead(&topo, partition, config.net.hop_latency)
+            })
+        }));
+        let mut engine = ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
+        engine.set_exec_mode(config.sim.exec);
+        engine.set_trace(config.sim.trace);
         Ok(Cluster {
             engine,
             config: *config,
@@ -472,97 +387,79 @@ impl Cluster {
     }
 
     /// Total simulation events delivered so far (aggregated across
-    /// shards on the sharded engine).
+    /// shards).
     pub fn events_delivered(&self) -> u64 {
         self.engine.events_delivered()
     }
 
-    /// Worker shards executing this cluster (1 = sequential engine).
+    /// Worker shards executing this cluster (1 = the sequential kernel).
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Seq(_) => 1,
-            Engine::Sharded(sim) => sim.shard_count(),
-        }
+        self.engine.shard_count()
     }
 
-    /// The node -> shard map in force (all zeros on the sequential
-    /// engine).
+    /// The node -> shard map in force (all zeros on one shard).
     pub fn partition(&self) -> &[u32] {
         &self.partition
     }
 
-    /// The sharded engine's minimum conservative window — the smallest
-    /// entry of the per-pair lookahead matrix (`None` on the sequential
-    /// engine, which needs no window).
+    /// The engine when it runs more than one shard: the sharded-only
+    /// probes below read `None` on one shard, which needs no window, no
+    /// sync rounds and no worker lanes.
+    fn sharded(&self) -> Option<&ShardedSimulator<Msg>> {
+        (self.engine.shard_count() > 1).then_some(&self.engine)
+    }
+
+    /// The minimum conservative window — the smallest entry of the
+    /// per-pair lookahead matrix (`None` on one shard).
     pub fn min_lookahead(&self) -> Option<SimTime> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.lookahead()),
-        }
+        self.sharded().map(ShardedSimulator::lookahead)
     }
 
     /// The per-pair conservative lookahead from shard `src` to shard
-    /// `dst` (`None` on the sequential engine).
+    /// `dst` (`None` on one shard).
     ///
     /// # Panics
     ///
-    /// Panics if either shard index is out of range on the sharded
-    /// engine.
+    /// Panics if either shard index is out of range on more than one
+    /// shard.
     pub fn lookahead_between(&self, src: usize, dst: usize) -> Option<SimTime> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.lookahead_between(src, dst)),
-        }
+        self.sharded().map(|sim| sim.lookahead_between(src, dst))
     }
 
-    /// Cumulative conservative-sync rounds the sharded engine has
-    /// executed (`None` on the sequential engine): one all-to-all
-    /// mailbox/horizon exchange per round, so rounds ÷ wall time is the
-    /// protocol-overhead denominator.
+    /// Cumulative conservative-sync rounds executed (`None` on one
+    /// shard): one all-to-all mailbox/horizon exchange per round, so
+    /// rounds ÷ wall time is the protocol-overhead denominator.
     pub fn sync_rounds(&self) -> Option<u64> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.sync_rounds()),
-        }
+        self.sharded().map(ShardedSimulator::sync_rounds)
     }
 
-    /// The sharded engine's execution mode (`None` on the sequential
-    /// engine).
+    /// The execution mode of the window protocol (`None` on one shard).
     pub fn exec_mode(&self) -> Option<ExecMode> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.exec_mode()),
-        }
+        self.sharded().map(ShardedSimulator::exec_mode)
     }
 
-    /// Synchronization statistics of the sharded engine (`None` on the
-    /// sequential engine): sync rounds plus, per shard, the spin/park
-    /// counts of the threaded exchange receives.
+    /// Synchronization statistics (`None` on one shard): sync rounds
+    /// plus, per shard, the spin/park counts of the threaded exchange
+    /// receives.
     pub fn shard_stats(&self) -> Option<ShardStats> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.shard_stats()),
-        }
+        self.sharded().map(ShardedSimulator::shard_stats)
     }
 
     /// Harvest the per-shard trace buffers accumulated so far: one
-    /// [`TracePart`] on the sequential engine, one per worker shard
-    /// otherwise (empty parts when `config.sim.trace` is off). Taking
-    /// resets the sinks, so back-to-back harvests see disjoint records;
-    /// merge parts with [`bluedbm_sim::TraceDoc::merge`].
+    /// [`TracePart`] per shard (empty parts when `config.sim.trace` is
+    /// off). Taking resets the sinks, so back-to-back harvests see
+    /// disjoint records; merge parts with
+    /// [`bluedbm_sim::TraceDoc::merge`].
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         self.engine.take_trace()
     }
 
-    /// Wall-clock worker profiles from threaded runs (`None` on the
-    /// sequential engine; all zeros unless
-    /// `config.sim.trace.wall_profile` opted in). Strictly an
-    /// out-of-band measurement — never part of the deterministic record.
+    /// Wall-clock worker profiles from threaded runs (`None` on one
+    /// shard; all zeros unless `config.sim.trace.wall_profile` opted
+    /// in). Strictly an out-of-band measurement — never part of the
+    /// deterministic record.
     pub fn wall_profiles(&self) -> Option<Vec<WallLaneProfile>> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.wall_profiles()),
-        }
+        self.sharded().map(ShardedSimulator::wall_profiles)
     }
 
     /// Write the cluster's complete statistics inventory into `reg`: an
@@ -936,9 +833,9 @@ impl Cluster {
         node: NodeId,
         data: &[u8],
     ) -> Result<GlobalPageAddr, ClusterError> {
-        // Stage the page in the simulator's store (the owning node's
-        // shard segment under the sharded engine); the flash controller
-        // consumes (and frees) the handle once the bus has read it.
+        // Stage the page in the owning node's shard segment of the page
+        // store; the flash controller consumes (and frees) the handle
+        // once the bus has read it.
         let (_op_id, addr) = self.inject_write(node, data)?;
         match self.drain_one(node) {
             Ok(_) => Ok(addr),
@@ -1163,11 +1060,11 @@ impl Cluster {
         let page_bytes = self.config.flash.geometry.page_bytes;
         debug_assert!(data.len() <= page_bytes);
         let buffer = if data.len() == page_bytes {
-            self.engine.stage_page(self.agents[node.index()], data)
+            self.stage_page(node, data)
         } else {
             let mut padded = data.to_vec();
             padded.resize(page_bytes, 0);
-            self.engine.stage_page(self.agents[node.index()], &padded)
+            self.stage_page(node, &padded)
         };
         self.engine.schedule(
             SimTime::ZERO,
@@ -1181,8 +1078,7 @@ impl Cluster {
         Ok((op_id, addr))
     }
 
-    /// Run the event queues to global quiescence (across all shards on
-    /// the sharded engine).
+    /// Run the event queues to global quiescence (across all shards).
     pub fn run_to_quiescence(&mut self) {
         self.engine.run();
     }
@@ -1314,23 +1210,14 @@ impl Cluster {
         self.pcie[node.index()]
     }
 
-    /// The simulator-owned page store: payload staging for advanced
-    /// drivers, and the leak audit (`assert_quiescent`) after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the sharded engine, where pages live in per-shard
-    /// segments — use [`Cluster::assert_quiescent`] for audits there.
-    pub fn page_store(&self) -> &bluedbm_sim::PageStore {
-        match &self.engine {
-            Engine::Seq(sim) => sim.page_store(),
-            Engine::Sharded(_) => {
-                panic!("page_store() is sequential-engine-only; use assert_quiescent()")
-            }
-        }
+    /// Stage a page into the page store segment of `node`'s shard, where
+    /// the node's agent and flash controllers consume it.
+    fn stage_page(&mut self, node: NodeId, data: &[u8]) -> PageRef {
+        let shard = self.partition[node.index()] as usize;
+        self.engine.page_store_mut(shard).alloc_from(data)
     }
 
-    /// Store leak audit across both engines: every page and every
+    /// Store leak audit across every shard: every page and every
     /// interned control block must have been consumed.
     ///
     /// # Panics
@@ -1338,20 +1225,6 @@ impl Cluster {
     /// Panics if any store segment still holds live entries.
     pub fn assert_quiescent(&self) {
         self.engine.assert_quiescent();
-    }
-
-    /// Direct simulator access for advanced experiment drivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the sharded engine (no single simulator exists); the
-    /// aggregate probes ([`Cluster::now`], [`Cluster::events_delivered`])
-    /// work on both.
-    pub fn sim_mut(&mut self) -> &mut Simulator<Msg> {
-        match &mut self.engine {
-            Engine::Seq(sim) => sim,
-            Engine::Sharded(_) => panic!("sim_mut() is sequential-engine-only"),
-        }
     }
 }
 
@@ -1385,7 +1258,7 @@ mod tests {
         assert!(read.latency >= SimTime::us(50));
         assert!(read.latency < SimTime::us(66), "{}", read.latency);
         // Every page handle was consumed on its way through the stack.
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1418,7 +1291,7 @@ mod tests {
         // DMA setup 1us + ~1.3us transfer (2KB page at 1.6GB/s) + 2us
         // completion.
         assert!(gap > SimTime::us(3) && gap < SimTime::us(10), "{gap}");
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1544,7 +1417,7 @@ mod tests {
             rate > 0.90e9 && rate < 1.06e9,
             "one-lane remote stream: {rate:.3e} B/s"
         );
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1585,6 +1458,22 @@ mod tests {
         let cluster = Cluster::ring(3, &config).unwrap();
         assert_eq!(cluster.min_lookahead(), None);
         assert_eq!(cluster.lookahead_between(0, 0), None);
+    }
+
+    #[test]
+    fn one_shard_metrics_report_the_sequential_engine() {
+        use bluedbm_trace::MetricValue;
+        let mut config = SystemConfig::scaled_down();
+        config.sim.trace = config.sim.trace.with_wall_profile(true);
+        let mut cluster = Cluster::ring(2, &config).unwrap();
+        cluster.write_page_local(NodeId(0), &page(&config, 4)).unwrap();
+        let doc = cluster.metrics();
+        assert_eq!(doc.get("engine/mode"), Some(&MetricValue::Str("seq".into())));
+        assert_eq!(doc.get("engine/shards"), Some(&MetricValue::Int(1)));
+        assert!(doc.get("engine/events_delivered").and_then(MetricValue::as_int) > Some(0));
+        // No sync_rounds leaf and no shard0 / wall0 lane on one shard.
+        let keys: Vec<&str> = doc.node("engine").unwrap().keys().collect();
+        assert_eq!(keys, ["mode", "shards", "now_ps", "events_delivered"]);
     }
 
     #[test]
@@ -1631,6 +1520,6 @@ mod tests {
         assert_eq!(pool.peak_in_use(), 4, "the burst saturates the pool");
         assert!(pool.exhaustions() > 0, "flash outruns 4 buffers");
         assert_eq!(pool.in_use(), 0, "all buffers returned");
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 }

@@ -11,15 +11,15 @@
 //! * [`cluster::Cluster`] — a DES world of N nodes: flash cards behind
 //!   splitters, a node agent (the in-store processing fabric), the
 //!   integrated network, and a PCIe link per node, with a synchronous
-//!   facade for experiments;
+//!   facade for experiments, run on one or more simulator shards;
 //! * [`paths`] — the four remote-access paths of Figure 12 (ISP-F, H-F,
 //!   H-RH-F, H-D) with latency breakdowns;
 //! * [`baselines`] — the comparison arms: host CPU model, off-the-shelf
 //!   SSD, HDD, DRAM store and the RAM-cloud spill model (Figures 16–21);
 //! * [`power`] — the Table 3 power model and the RAM-cloud comparison;
-//! * [`scheduler`] — the FIFO accelerator scheduler of Section 4, both
-//!   as the per-node simulated component ([`scheduler::AccelSched`])
-//!   gating in-store accelerator work and as an offline calculator;
+//! * [`scheduler`] — the FIFO accelerator scheduler of Section 4, the
+//!   per-node simulated component ([`scheduler::AccelSched`]) gating
+//!   in-store accelerator work;
 //! * [`kvstore`] — the concurrent multi-tenant key-value workload
 //!   engine: async op submission, per-key FIFO consistency, windowed
 //!   injection, extent free-lists with a stranded-page audit;
@@ -65,7 +65,7 @@ pub use config::{GcConfig, SystemConfig};
 pub use kvstore::{KvCompletion, KvOpId, KvOpKind, KvStore, TenantId, TenantStats};
 pub use paths::{AccessPath, LatencyBreakdown};
 pub use power::PowerModel;
-pub use scheduler::{AccelSched, AcceleratorScheduler, SchedStats};
+pub use scheduler::{AccelSched, SchedStats};
 
 // Re-export the node id type used throughout the public API, and the
 // page-store types payload-bearing drivers stage data through.

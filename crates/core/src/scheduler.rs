@@ -6,22 +6,17 @@
 //! available hardware-acceleration units to competing user-applications.
 //! In our implementation, a simple FIFO-based policy is used."
 //!
-//! Two forms of that scheduler live here:
-//!
-//! * [`AccelSched`] — the **simulated component**: one per node, built by
-//!   [`crate::cluster::Cluster`], arbitrating `config.accel.units`
-//!   identical units among in-flight jobs *inside* the running DES.
-//!   Jobs arrive as [`SchedSubmit`] messages (the node agent submits one
-//!   for every read consumed with [`crate::node::Consume::Accel`] — the
-//!   multi-tenant KV engine's data path); a free unit is granted
-//!   immediately, otherwise the job parks in a FIFO queue and is granted
-//!   when a running job releases its unit. The requester learns of
-//!   completion via [`SchedDone`]. Queue-wait statistics accumulate in
-//!   [`SchedStats`], surfaced per node through
-//!   [`crate::cluster::Cluster::sched_stats`].
-//! * [`AcceleratorScheduler`] — the offline calculator over the same
-//!   FIFO policy, for closed-form experiments and planning (no
-//!   simulator required).
+//! [`AccelSched`] is that scheduler as a simulated component: one per
+//! node, built by [`crate::cluster::Cluster`], arbitrating
+//! `config.accel.units` identical units among in-flight jobs *inside* the
+//! running DES. Jobs arrive as [`SchedSubmit`] messages (the node agent
+//! submits one for every read consumed with
+//! [`crate::node::Consume::Accel`] — the multi-tenant KV engine's data
+//! path); a free unit is granted immediately, otherwise the job parks in
+//! a FIFO queue and is granted when a running job releases its unit. The
+//! requester learns of completion via [`SchedDone`]. Queue-wait
+//! statistics accumulate in [`SchedStats`], surfaced per node through
+//! [`crate::cluster::Cluster::sched_stats`].
 //!
 //! FIFO on a finite unit pool is starvation-free by construction: every
 //! parked job is granted after at most `queue-position` predecessor
@@ -31,7 +26,6 @@
 use std::collections::VecDeque;
 
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
-use bluedbm_sim::resource::MultiResource;
 use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{MetricsNode, TraceCat};
 
@@ -227,131 +221,10 @@ impl Component<Msg> for AccelSched {
     }
 }
 
-/// A scheduled job's outcome (offline calculator).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobSchedule {
-    /// Caller-supplied id.
-    pub job: u64,
-    /// When the job was submitted.
-    pub submitted: SimTime,
-    /// When an accelerator unit became available for it.
-    pub started: SimTime,
-    /// When it finished.
-    pub finished: SimTime,
-}
-
-impl JobSchedule {
-    /// Queueing delay before an accelerator was granted.
-    pub fn queue_wait(&self) -> SimTime {
-        self.started - self.submitted
-    }
-}
-
-/// Offline FIFO scheduler over `units` identical accelerator units: the
-/// closed-form planning twin of [`AccelSched`] (no simulator needed —
-/// grants are computed immediately from submission order).
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_core::scheduler::AcceleratorScheduler;
-/// use bluedbm_sim::time::SimTime;
-///
-/// let mut sched = AcceleratorScheduler::new(1);
-/// let a = sched.submit(1, SimTime::ZERO, SimTime::us(100));
-/// let b = sched.submit(2, SimTime::ZERO, SimTime::us(100));
-/// assert_eq!(a.started, SimTime::ZERO);
-/// assert_eq!(b.started, SimTime::us(100)); // FIFO behind job 1
-/// ```
-#[derive(Debug)]
-pub struct AcceleratorScheduler {
-    units: MultiResource,
-    history: VecDeque<JobSchedule>,
-}
-
-impl AcceleratorScheduler {
-    /// A scheduler over `units` accelerator units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units == 0`.
-    pub fn new(units: usize) -> Self {
-        AcceleratorScheduler {
-            units: MultiResource::new(units),
-            history: VecDeque::new(),
-        }
-    }
-
-    /// Submit a job needing `duration` of accelerator time at `now`.
-    /// Jobs must be submitted in non-decreasing `now` order (FIFO).
-    pub fn submit(&mut self, job: u64, now: SimTime, duration: SimTime) -> JobSchedule {
-        let grant = self.units.acquire(now, duration);
-        let schedule = JobSchedule {
-            job,
-            submitted: now,
-            started: grant.start,
-            finished: grant.end,
-        };
-        self.history.push_back(schedule);
-        schedule
-    }
-
-    /// All scheduled jobs, in submission order.
-    pub fn history(&self) -> impl Iterator<Item = &JobSchedule> {
-        self.history.iter()
-    }
-
-    /// Mean queue wait across all jobs.
-    pub fn mean_wait(&self) -> SimTime {
-        if self.history.is_empty() {
-            return SimTime::ZERO;
-        }
-        let total: SimTime = self.history.iter().map(|j| j.queue_wait()).sum();
-        total / self.history.len() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bluedbm_sim::engine::Simulator;
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut s = AcceleratorScheduler::new(1);
-        let jobs: Vec<JobSchedule> = (0..5)
-            .map(|i| s.submit(i, SimTime::ZERO, SimTime::us(10)))
-            .collect();
-        for pair in jobs.windows(2) {
-            assert_eq!(pair[1].started, pair[0].finished, "strict FIFO on one unit");
-        }
-        assert_eq!(s.mean_wait(), SimTime::us(20)); // 0+10+20+30+40 / 5
-    }
-
-    #[test]
-    fn multiple_units_run_concurrently() {
-        let mut s = AcceleratorScheduler::new(4);
-        let jobs: Vec<JobSchedule> = (0..4)
-            .map(|i| s.submit(i, SimTime::ZERO, SimTime::us(10)))
-            .collect();
-        assert!(jobs.iter().all(|j| j.started == SimTime::ZERO));
-        assert_eq!(s.mean_wait(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn later_submissions_start_no_earlier() {
-        let mut s = AcceleratorScheduler::new(2);
-        s.submit(0, SimTime::ZERO, SimTime::us(100));
-        s.submit(1, SimTime::ZERO, SimTime::us(100));
-        let c = s.submit(2, SimTime::us(30), SimTime::us(10));
-        assert_eq!(c.started, SimTime::us(100));
-        assert_eq!(c.queue_wait(), SimTime::us(70));
-        assert_eq!(s.history().count(), 3);
-    }
-
-    // ------------------------------------------------------------------
-    // The simulated component.
-    // ------------------------------------------------------------------
 
     /// Probe requester: records the order and times jobs complete.
     struct Probe {
@@ -417,25 +290,63 @@ mod tests {
     }
 
     #[test]
-    fn mixed_durations_match_offline_calculator() {
-        // The component and the offline twin must agree on completion
-        // times for an uncontended-arrival FIFO schedule.
+    fn fifo_order_preserved() {
+        let (mut sim, sched, probe) = world(1);
+        for job in 0..5u64 {
+            submit(&mut sim, sched, probe, job, SimTime::ZERO, SimTime::us(10));
+        }
+        sim.run();
+        let s = sim.component::<AccelSched>(sched).unwrap().stats();
+        assert_eq!(s.mean_wait(), SimTime::us(20)); // (0+10+20+30+40) / 5
+    }
+
+    #[test]
+    fn multiple_units_run_concurrently() {
+        let (mut sim, sched, probe) = world(4);
+        for job in 0..4u64 {
+            submit(&mut sim, sched, probe, job, SimTime::ZERO, SimTime::us(10));
+        }
+        sim.run();
+        let done = &sim.component::<Probe>(probe).unwrap().done;
+        assert!(done.iter().all(|&(_, at)| at == SimTime::us(10)));
+        let s = sim.component::<AccelSched>(sched).unwrap().stats();
+        assert_eq!(s.parked, 0);
+        assert_eq!(s.total_wait, SimTime::ZERO);
+        assert_eq!(s.max_wait, SimTime::ZERO);
+    }
+
+    #[test]
+    fn later_submissions_start_no_earlier() {
+        let (mut sim, sched, probe) = world(2);
+        submit(&mut sim, sched, probe, 0, SimTime::ZERO, SimTime::us(100));
+        submit(&mut sim, sched, probe, 1, SimTime::ZERO, SimTime::us(100));
+        // Both units are busy until 100us: the job waits 70us for one.
+        submit(&mut sim, sched, probe, 2, SimTime::us(30), SimTime::us(10));
+        sim.run();
+        let done = &sim.component::<Probe>(probe).unwrap().done;
+        assert!(done.contains(&(2, SimTime::us(110))), "{done:?}");
+        let s = sim.component::<AccelSched>(sched).unwrap().stats();
+        assert_eq!(s.parked, 1);
+        assert_eq!(s.max_wait, SimTime::us(70));
+        assert_eq!(s.total_wait, SimTime::us(70));
+    }
+
+    #[test]
+    fn mixed_durations_finish_at_fifo_times() {
+        // Each job in submission order takes whichever unit frees first.
         let durations = [7u64, 3, 12, 5, 9, 1, 4];
         let (mut sim, sched, probe) = world(2);
-        let mut offline = AcceleratorScheduler::new(2);
-        let mut expect: Vec<(u64, SimTime)> = durations
-            .iter()
-            .enumerate()
-            .map(|(j, &d)| {
-                let j = j as u64;
-                submit(&mut sim, sched, probe, j, SimTime::ZERO, SimTime::us(d));
-                (j, offline.submit(j, SimTime::ZERO, SimTime::us(d)).finished)
-            })
-            .collect();
+        for (job, &d) in durations.iter().enumerate() {
+            submit(&mut sim, sched, probe, job as u64, SimTime::ZERO, SimTime::us(d));
+        }
         sim.run();
         let mut done = sim.component::<Probe>(probe).unwrap().done.clone();
         done.sort_by_key(|&(j, _)| j);
-        expect.sort_by_key(|&(j, _)| j);
+        let expect: Vec<(u64, SimTime)> = [7u64, 3, 15, 12, 21, 16, 20]
+            .iter()
+            .enumerate()
+            .map(|(j, &f)| (j as u64, SimTime::us(f)))
+            .collect();
         assert_eq!(done, expect);
     }
 

@@ -20,7 +20,9 @@
 //!   buffers, as a capacity view over the simulator's shared
 //!   `PageStore`.
 //! * [`ReorderQueue`] — per-buffer FIFOs that accumulate interleaved
-//!   flash bursts until a DMA burst is contiguous.
+//!   flash bursts until a DMA burst is contiguous: a standalone
+//!   functional model that no DES component uses (only its own tests
+//!   and the workspace property tests drive it).
 
 pub mod bufpool;
 pub mod msg;

@@ -7,9 +7,10 @@
 //! like one FIFO per read buffer; a burst is eligible for DMA once its
 //! FIFO holds at least one full DMA burst of data.
 //!
-//! This module is the functional model of that structure; the DES layer
-//! feeds it chunk arrivals and turns the produced burst events into
-//! [`crate::pcie::PcieXfer`]s.
+//! This module is a standalone functional model of that structure. No
+//! DES component uses it: the simulated read path hands whole pages to
+//! [`crate::pcie::PcieLink`], and only this module's tests and the
+//! workspace's chunking property test drive the queue.
 
 /// An event produced by [`ReorderQueue::push`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -30,11 +30,11 @@
 //!   sequence numbers at the current instant, appending to that queue
 //!   keeps it globally sorted by `(time, seq)` and the dispatcher only
 //!   has to compare its head with the heap root;
-//! * components live in a **flattened arena** (see [`crate::arena`]):
-//!   every slot always holds an installed component (reserved slots hold
-//!   a panicking sentinel), so the dispatcher's component fetch is a
-//!   single bounds-checked index — no `Option` discriminant, no
-//!   move-out/move-back around the handler call;
+//! * components live in a **flattened arena** (the crate-private
+//!   `arena` module): every slot always holds an installed component
+//!   (reserved slots hold a panicking sentinel), so the dispatcher's
+//!   component fetch is a single bounds-checked index — no `Option`
+//!   discriminant, no move-out/move-back around the handler call;
 //! * [`Simulator::run`] and [`Simulator::run_until`] use **batched
 //!   dispatch**: when consecutive queue heads target the same component
 //!   at the same instant (a command-forwarding *train*), the whole train
@@ -433,9 +433,10 @@ pub(crate) struct Outbound<M> {
 
 /// The sharded runtime's per-shard view: who owns every component id,
 /// which shard this is, the outgoing mailboxes, and the lookahead
-/// promise. Present only on shard member simulators (see
-/// [`crate::shard::ShardedSimulator`]); `None` on a plain [`Simulator`],
-/// whose send path then never pays more than one branch.
+/// promise. Present only on the member simulators of a multi-shard
+/// [`crate::shard::ShardedSimulator`]; `None` on a plain [`Simulator`]
+/// and on a one-shard engine, whose send path then never pays more than
+/// one branch.
 pub(crate) struct ShardEnv<M> {
     pub(crate) me: u32,
     pub(crate) owner: Arc<Vec<u32>>,

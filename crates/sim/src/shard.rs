@@ -82,7 +82,11 @@
 //! to its own core on Linux ([`crate::affinity`]) so the per-round spin
 //! windows keep their cache affinity; [`ExecMode::Cooperative`] forces
 //! the single-thread rounds. Sequential, threaded and cooperative runs
-//! are the three engines the conformance suites compare.
+//! are the three engines the conformance suites compare; the sequential
+//! engine is a one-shard [`ShardedSimulator`], whose [`run`] calls the
+//! [`Simulator`] kernel directly.
+//!
+//! [`run`]: ShardedSimulator::run
 //!
 //! ## Determinism and observational equivalence
 //!
@@ -255,7 +259,9 @@ struct Exchange<M: ShardMessage> {
 
 /// N-shard conservative-parallel façade over [`Simulator`]. Build the
 /// component graph on a sequential simulator first, then split it with
-/// [`ShardedSimulator::from_simulator`].
+/// [`ShardedSimulator::with_lookaheads`]. One shard is the sequential
+/// engine: its simulator has no cross-shard mailboxes and
+/// [`run`](Self::run) calls the sequential kernel directly.
 ///
 /// The driving API mirrors the sequential engine where it can:
 /// [`schedule`](Self::schedule), [`run`](Self::run),
@@ -305,24 +311,6 @@ pub struct ShardedSimulator<M: ShardMessage> {
 }
 
 impl<M: ShardMessage> ShardedSimulator<M> {
-    /// Split a fully built (but idle) simulator into `shards` shards
-    /// under a single global `lookahead` — the minimum latency of any
-    /// message between components of different shards. Shorthand for
-    /// [`ShardedSimulator::with_lookaheads`] with a uniform matrix.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ShardedSimulator::with_lookaheads`].
-    pub fn from_simulator(
-        sim: Simulator<M>,
-        owner: Vec<u32>,
-        shards: usize,
-        lookahead: SimTime,
-    ) -> Self {
-        let lookaheads = vec![vec![lookahead; shards]; shards];
-        Self::with_lookaheads(sim, owner, shards, lookaheads)
-    }
-
     /// Split a fully built (but idle) simulator into `shards` shards.
     /// `owner[i]` names the shard that owns component id `i`
     /// ([`u32::MAX`] for reserved-but-uninstalled ids);
@@ -332,6 +320,10 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// nodes. Entries need not be symmetric; diagonal entries are
     /// ignored. Larger (honest) entries for far-apart shard pairs let
     /// the conservative bound advance in larger steps.
+    ///
+    /// With `shards == 1` there is no peer to divert mail to, so the
+    /// single shard gets no mailboxes or owner lookup: its sends take
+    /// exactly the sequential kernel's path.
     ///
     /// # Panics
     ///
@@ -397,7 +389,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
             .map(|me| {
                 let mut part = Simulator::with_capacity(64);
                 part.now = base_now;
-                part.shard_env = Some(ShardEnv {
+                part.shard_env = (shards > 1).then(|| ShardEnv {
                     me: me as u32,
                     owner: Arc::clone(&owner),
                     outboxes: (0..shards).map(|_| Vec::new()).collect(),
@@ -483,8 +475,8 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     }
 
     /// The minimum conservative window size — the smallest off-diagonal
-    /// entry of the lookahead matrix (for a uniform matrix, exactly the
-    /// `lookahead` given to [`ShardedSimulator::from_simulator`]).
+    /// entry of the lookahead matrix ([`SimTime::ZERO`] on one shard,
+    /// which has no off-diagonal entry).
     pub fn lookahead(&self) -> SimTime {
         self.min_lookahead
     }
@@ -623,7 +615,9 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// clock (external injection, the sharded counterpart of
     /// [`Simulator::schedule`]). The event is placed directly in the
     /// owning shard's queues — external injection happens between runs,
-    /// so no lookahead constraint applies.
+    /// so no lookahead constraint applies — through
+    /// [`Simulator::schedule`] on that shard, so an event at the shard's
+    /// current instant takes the heap-bypass FIFO.
     ///
     /// # Panics
     ///
@@ -633,7 +627,8 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         let shard = self
             .owner_of(to)
             .unwrap_or_else(|| panic!("message scheduled to uninstalled component {to:?}"));
-        self.shards[shard].push_arrival(at, to, msg.into());
+        let sim = &mut self.shards[shard];
+        sim.schedule(at - sim.now, to, msg);
     }
 
     /// Run to global quiescence: execute the window protocol — on
@@ -1184,6 +1179,17 @@ mod tests {
 
     const HOP: SimTime = SimTime::us(1);
 
+    /// Split `sim` under a single global `lookahead` (a uniform matrix).
+    fn from_simulator(
+        sim: Simulator<TMsg>,
+        owner: Vec<u32>,
+        shards: usize,
+        lookahead: SimTime,
+    ) -> ShardedSimulator<TMsg> {
+        let lookaheads = vec![vec![lookahead; shards]; shards];
+        ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads)
+    }
+
     /// Test protocol: a counter bounce with a fixed latency, plus a
     /// page-carrying shape to exercise relocation.
     enum TMsg {
@@ -1247,7 +1253,7 @@ mod tests {
         seq.run();
 
         let (sim, a2, b2) = bounce_world();
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
         sharded.schedule(SimTime::ZERO, a2, TMsg::Val(100));
         sharded.run();
 
@@ -1267,7 +1273,7 @@ mod tests {
     fn sharded_runs_are_repeatable() {
         let run = || {
             let (sim, a, b) = bounce_world();
-            let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+            let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
             sharded.schedule(SimTime::ZERO, a, TMsg::Val(57));
             sharded.run();
             (
@@ -1333,8 +1339,7 @@ mod tests {
         });
         sim.install(sink, Sink { got: vec![] });
         // sink id 0 -> shard 0, b1 -> shard 1, b2 -> shard 2, b0 -> shard 0.
-        let mut sharded =
-            ShardedSimulator::from_simulator(sim, vec![0, 1, 2, 0], 3, HOP);
+        let mut sharded = from_simulator(sim, vec![0, 1, 2, 0], 3, HOP);
         sharded.schedule(SimTime::ZERO, b1, TMsg::Val(0));
         sharded.schedule(SimTime::ZERO, b2, TMsg::Val(0));
         sharded.schedule(SimTime::ZERO, b0, TMsg::Val(0));
@@ -1370,7 +1375,7 @@ mod tests {
         let sink = sim.reserve();
         let looper = sim.add_component(SelfLoop { left: 500, done_to: sink });
         sim.install(sink, Sink { got: vec![] });
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![1, 0], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![1, 0], 2, HOP);
         sharded.schedule(SimTime::ZERO, looper, TMsg::Val(0));
         sharded.run();
         let got = &sharded.component::<Sink>(sink).unwrap().got;
@@ -1388,7 +1393,7 @@ mod tests {
             shots: vec![(SimTime::ZERO, 1)], // zero-delay *cross-shard* send
         });
         sim.install(sink, Sink { got: vec![] });
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
         sharded.schedule(SimTime::ZERO, b, TMsg::Val(0));
         sharded.run();
     }
@@ -1424,7 +1429,7 @@ mod tests {
             let consumer = sim.reserve();
             let producer = sim.add_component(Producer { to: consumer });
             sim.install(consumer, Consumer { seen: vec![] });
-            let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+            let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
             sharded.set_exec_mode(exec);
             sharded.schedule(SimTime::ZERO, producer, TMsg::Val(0));
             sharded.run();
@@ -1442,7 +1447,7 @@ mod tests {
     #[test]
     fn scheduling_between_runs_continues_the_clock() {
         let (sim, a, b) = bounce_world();
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
         sharded.schedule(SimTime::ZERO, a, TMsg::Val(3));
         sharded.run();
         let after_first = sharded.now();
@@ -1463,7 +1468,7 @@ mod tests {
             sink: vacant,
             shots: vec![(HOP, 1)],
         });
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![UNOWNED, 0], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![UNOWNED, 0], 2, HOP);
         sharded.schedule(SimTime::ZERO, b, TMsg::Val(0));
         sharded.run();
     }
@@ -1610,7 +1615,7 @@ mod tests {
     #[test]
     fn cooperative_mode_relocates_pages_and_stays_quiescent() {
         let (sim, a, _) = bounce_world();
-        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+        let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
         sharded.set_exec_mode(ExecMode::Cooperative);
         sharded.schedule(SimTime::ZERO, a, TMsg::Val(25));
         sharded.run();
@@ -1625,7 +1630,7 @@ mod tests {
         // modes on the same workload.
         let observe = |exec: ExecMode| {
             let (sim, a, b) = bounce_world();
-            let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+            let mut sharded = from_simulator(sim, vec![0, 1], 2, HOP);
             sharded.set_exec_mode(exec);
             sharded.schedule(SimTime::ZERO, a, TMsg::Val(30));
             sharded.run();
@@ -1646,14 +1651,46 @@ mod tests {
 
     #[test]
     fn single_shard_degenerates_to_sequential() {
-        let (mut seq, a, _) = bounce_world();
+        // One shard is the sequential kernel: no shard env on the send
+        // path, and the same deliveries, clock, trace and store state as
+        // a bare simulator fed the same injections.
+        use bluedbm_trace::{TraceDoc, ALL_CATEGORIES};
+        let trace = TraceConfig::on();
+        let (mut seq, a, b) = bounce_world();
+        seq.set_trace(trace, 0);
         seq.schedule(SimTime::ZERO, a, TMsg::Val(9));
+        seq.schedule(HOP * 2, b, TMsg::Val(4));
         seq.run();
-        let (sim, a2, _) = bounce_world();
-        let mut one = ShardedSimulator::from_simulator(sim, vec![0, 0], 1, HOP);
+        let (sim, a2, b2) = bounce_world();
+        let mut one = from_simulator(sim, vec![0, 0], 1, HOP);
+        assert!(one.shards[0].shard_env.is_none());
+        one.set_trace(trace);
         one.schedule(SimTime::ZERO, a2, TMsg::Val(9));
+        one.schedule(HOP * 2, b2, TMsg::Val(4));
         one.run();
         assert_eq!(one.events_delivered(), seq.events_delivered());
         assert_eq!(one.now(), seq.now());
+        assert_eq!(one.sync_rounds(), 0);
+        for (o, q) in [(a2, a), (b2, b)] {
+            assert_eq!(
+                one.component::<Bouncer>(o).unwrap().log,
+                seq.component::<Bouncer>(q).unwrap().log,
+            );
+        }
+        let seq_doc = TraceDoc::merge(vec![seq.take_trace()]);
+        let one_doc = TraceDoc::merge(one.take_trace());
+        assert!(!seq_doc.is_empty());
+        assert_eq!(
+            one_doc.digest_stable(ALL_CATEGORIES),
+            seq_doc.digest_stable(ALL_CATEGORIES)
+        );
+        assert_eq!(
+            one_doc.digest_full(ALL_CATEGORIES),
+            seq_doc.digest_full(ALL_CATEGORIES),
+            "same timestamps and sequence numbers, record for record"
+        );
+        seq.page_store().assert_quiescent();
+        seq.pool_store().assert_quiescent();
+        one.assert_quiescent();
     }
 }

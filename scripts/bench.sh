@@ -15,19 +15,30 @@ case "$out" in
   *) out="$(pwd)/$out" ;;
 esac
 
-# Keep the previous trajectory around as the baseline for the trace
-# overhead comparison before truncating for the fresh run.
-baseline=""
-if [ -f "$out" ]; then
-  baseline="$(mktemp)"
-  cp "$out" "$baseline"
-fi
-
 # Fresh file per run; the criterion shim appends one JSON object per line.
 mkdir -p "$(dirname "$out")"
 : > "$out"
 
 export BLUEDBM_BENCH_JSON="$out"
+
+# Source identity and size, so code size lands in the same trajectory as
+# speed. A run on uncommitted changes (other than to the trajectory file
+# itself) gets a "-dirty" revision: its rows belong to no commit.
+# src_lines follows the benchmark's rule (benchmark/src/meta.rs): every
+# line of the .rs files under src/ and crates/*/src/, up to the first
+# #[cfg(test)] of each file.
+rev="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ "$rev" != unknown ] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_engine.json'; then
+  rev="$rev-dirty"
+fi
+src_lines="$(find src crates/*/src -name '*.rs' -type f -exec awk '
+  FNR == 1 { stop = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { stop = 1 }
+  !stop { n++ }
+  END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
+echo "{\"id\":\"meta/git_rev\",\"value\":\"$rev\"}" >> "$out"
+echo "{\"id\":\"meta/src_lines\",\"value\":$src_lines}" >> "$out"
+echo "source: $rev, $src_lines non-test program lines"
 
 echo "== layout sizes: Msg / queue entries (fails if Msg > 64 bytes) =="
 cargo run -p bluedbm-bench --release --quiet --bin sizes
@@ -60,9 +71,8 @@ echo "== gc_cliff: flash-lifecycle tail latency and write amplification =="
 cargo run -p bluedbm-bench --release --quiet --bin gc_cliff
 
 echo "== trace: disabled-path overhead on the KV workload =="
-# shellcheck disable=SC2086
-cargo run -p bluedbm-bench --release --quiet --bin trace_overhead -- ${baseline:+"$baseline"}
-if [ -n "$baseline" ]; then rm -f "$baseline"; fi
+# Compares against the sim_throughput/kv_million_seq row written above.
+cargo run -p bluedbm-bench --release --quiet --bin trace_overhead
 
 echo
 echo "results written to $out:"
